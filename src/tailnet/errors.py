@@ -27,7 +27,7 @@ class CapacityError(ModelError):
 
 
 class DegenerateQpError(TailnetError, RuntimeError):
-    """The active-set enumeration did not isolate a unique candidate.
+    """The active-set search did not isolate a unique candidate.
 
     Carries the list of candidate index sets that passed (possibly empty).
     """

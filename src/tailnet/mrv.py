@@ -1,10 +1,13 @@
 """Cone-wise regular-variation data for the three dependence families.
 
 The Gaussian side is driven entirely by the box-constrained quadratic
-program min_{z >= 1} z' Sigma^{-1} z, solved combinatorially by active-set
-enumeration (:func:`solve_qp`).  Scale functions are carried symbolically in
-power-log form ``c * t**a * (kappa + lam*log t)**p`` so tests can compare
-coefficients exactly rather than sampling opaque closures.
+program min_{z >= 1} z' Sigma^{-1} z, solved as a nonnegative least-squares
+problem whose active set is then confirmed by the KKT pass test
+(:func:`solve_qp`).  Only the cone spectra and the mutual-independence test
+still loop over all 2^d subsets; they are capped at d <= ``QP_DIM_CAP``.
+Scale functions are carried symbolically in power-log form
+``c * t**a * (kappa + lam*log t)**p`` so tests can compare coefficients
+exactly rather than sampling opaque closures.
 
 Index convention: coordinates are 0-based internally; serialized output
 (JSON, CLI) is 1-based.
@@ -19,6 +22,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.optimize import nnls
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
@@ -116,46 +121,70 @@ def _as_matrix(sigma) -> np.ndarray:
     return CorrelationMatrix(np.asarray(sigma, dtype=float)).entries
 
 
-def solve_qp(sigma, tol: float = QP_TOL) -> QpSolution:
-    """Unique minimizer of z' Sigma^{-1} z over z >= 1 by active-set search.
+def _qp_candidate(m: np.ndarray, idx: tuple, tol: float):
+    """The active-set pass test for one index set I.
 
-    Enumerates candidate index sets I, keeping those with
-    Sigma_I^{-1} 1 > 0 and Sigma_{JI} Sigma_I^{-1} 1 >= 1 componentwise;
-    exactly one candidate may pass (within ``tol``), otherwise the
-    enumeration is reported as degenerate together with the candidates.
+    Returns the QP solution with active set I when Sigma_I^{-1} 1 > tol and
+    Sigma_{JI} Sigma_I^{-1} 1 >= 1 - tol componentwise, else None.
+    """
+    d = m.shape[0]
+    ii = list(idx)
+    try:
+        h = np.linalg.solve(m[np.ix_(ii, ii)], np.ones(len(ii)))
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(h) <= tol:
+        return None
+    jj = [j for j in range(d) if j not in idx]
+    if jj:
+        e_j = m[np.ix_(jj, ii)] @ h
+        if np.min(e_j) < 1.0 - tol:
+            return None
+    else:
+        e_j = np.empty(0)
+    e_star = np.ones(d)
+    e_star[jj] = e_j
+    return QpSolution(index_set=idx, e_star=e_star, gamma=float(h.sum()), h=h)
+
+
+def solve_qp(sigma, tol: float = QP_TOL) -> QpSolution:
+    """Unique minimizer of z' Sigma^{-1} z over z >= 1 by NNLS active-set search.
+
+    With Sigma = C C' and A = C^{-1}, the substitution z = 1 + y turns the
+    program into the nonnegative least-squares problem
+    min_{y >= 0} |A y + A 1|^2 (Lawson-Hanson).  Its zero coordinates give a
+    first guess I_0 of the active set.  I_0 and every set that differs from
+    it by one coordinate are tested for Sigma_I^{-1} 1 > 0 and
+    Sigma_{JI} Sigma_I^{-1} 1 >= 1 componentwise (within ``tol``); exactly
+    one may pass, otherwise the search is reported as degenerate together
+    with the passing sets.
     """
     m = _as_matrix(sigma)
     d = m.shape[0]
-    if d > QP_DIM_CAP:
-        raise CapacityError(
-            f"active-set enumeration is 2^d; d = {d} exceeds cap {QP_DIM_CAP}",
-            QP_DIM_CAP)
-    passed = []
-    for size in range(1, d + 1):
-        for idx in combinations(range(d), size):
-            ii = list(idx)
-            try:
-                h = np.linalg.solve(m[np.ix_(ii, ii)], np.ones(size))
-            except np.linalg.LinAlgError:
-                continue
-            if np.min(h) <= tol:
-                continue
-            jj = [j for j in range(d) if j not in idx]
-            if jj:
-                e_j = m[np.ix_(jj, ii)] @ h
-                if np.min(e_j) < 1.0 - tol:
-                    continue
-            else:
-                e_j = np.empty(0)
-            e_star = np.ones(d)
-            e_star[jj] = e_j
-            passed.append((idx, e_star, float(h.sum()), h))
+    a = solve_triangular(np.linalg.cholesky(m), np.eye(d), lower=True)
+    try:
+        y, _ = nnls(a, -a.sum(axis=1))
+    except RuntimeError as err:
+        raise DegenerateQpError(f"NNLS did not converge: {err}", []) from None
+    base = tuple(j for j in range(d) if y[j] == 0.0)
+    trial = [base]
+    trial += [tuple(k for k in base if k != j) for j in base]
+    trial += [tuple(sorted(base + (j,))) for j in range(d) if j not in base]
+    passed = [c for c in (_qp_candidate(m, idx, tol) for idx in trial if idx)
+              if c is not None]
     if len(passed) != 1:
         raise DegenerateQpError(
-            f"active-set enumeration found {len(passed)} candidates, expected 1",
-            [p[0] for p in passed])
-    idx, e_star, gamma, h = passed[0]
-    return QpSolution(index_set=idx, e_star=e_star, gamma=gamma, h=h)
+            f"active-set search found {len(passed)} candidates, expected 1",
+            sorted((p.index_set for p in passed), key=lambda s: (len(s), s)))
+    return passed[0]
+
+
+def _check_subset_cap(d: int) -> None:
+    """Refuse a loop over all 2^d subsets before it starts."""
+    if d > QP_DIM_CAP:
+        raise CapacityError(
+            f"subset enumeration is 2^d; d = {d} exceeds cap {QP_DIM_CAP}",
+            QP_DIM_CAP)
 
 
 def _subset_qp_cache(m: np.ndarray):
@@ -174,6 +203,7 @@ def _subset_qp_cache(m: np.ndarray):
 def _gaussian_cone_data(m: np.ndarray, i: int, qp_of=None):
     """gamma_i, the argmin family S_i, and |I_i| for cone order i >= 2."""
     d = m.shape[0]
+    _check_subset_cap(d)
     qp_of = qp_of or _subset_qp_cache(m)
     gammas = {}
     for size in range(i, d + 1):
@@ -330,10 +360,7 @@ def mutual_ai_gaussian(sigma) -> bool:
     """True iff Sigma_S^{-1} 1 > 0 componentwise for every nonempty subset."""
     m = _as_matrix(sigma)
     d = m.shape[0]
-    if d > QP_DIM_CAP:
-        raise CapacityError(
-            f"subset enumeration is 2^d; d = {d} exceeds cap {QP_DIM_CAP}",
-            QP_DIM_CAP)
+    _check_subset_cap(d)
     for size in range(2, d + 1):
         for subset in combinations(range(d), size):
             ii = list(subset)

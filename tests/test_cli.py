@@ -1,6 +1,11 @@
 import json
 
+import numpy as np
+
 from tailnet.cli import main
+from tailnet.mrv import QpSolution
+
+from qp_oracle import assert_kkt
 
 
 def write(tmp_path, name, doc):
@@ -140,3 +145,18 @@ def test_seed_override_changes_sample(tmp_path):
     assert main(["sample", "--scenario", path, "--n", "20", "--seed", "9",
                  "--out", str(b)]) == 0
     assert a.read_text() != b.read_text()
+
+
+def test_qp_beyond_subset_cap(tmp_path, capsys):
+    d = 30
+    lo = np.random.default_rng(30).uniform(0.3, 0.8, d)
+    sigma = np.outer(lo, lo)
+    np.fill_diagonal(sigma, 1.0)
+    path = write(tmp_path, "factor30.json",
+                 {"margin": {"alpha": 1.0, "theta": 1.0},
+                  "dependence": {"kind": "gaussian", "sigma": sigma.tolist()}})
+    assert main(["qp", "--scenario", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    sol = QpSolution(tuple(i - 1 for i in doc["I"]), np.array(doc["e_star"]),
+                     doc["gamma"], np.array(doc["h"]))
+    assert_kkt(sigma, sol)
