@@ -236,7 +236,15 @@ def _mo_shock_layout(rates: MoRateFamily):
 
 def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
                         layout) -> np.ndarray:
-    """One block of copula-level draws U with P(U_j < u_j for all j) = C_hat(u)."""
+    """One block of copula-level draws U with P(U_j < u_j for all j) = C_hat(u).
+
+    The Marshall-Olkin shocks are drawn in consecutive cache-sized row
+    chunks (:func:`rng.row_chunks`) and reduced while each chunk is in
+    cache.  RNG-order contract: the chunks consume ``g`` exactly as one
+    ``(size, 2^d - 1)`` draw does, and the per-coordinate minimum does not
+    depend on the order it is taken in, so the block is bit-identical to the
+    whole-block computation.
+    """
     d = model.d
     dep = model.dependence
     if isinstance(dep, Iid):
@@ -246,11 +254,17 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
         y = g.standard_normal((size, d)) @ chol.T
         return np.clip(ndtr(-y), 1e-300, 1.0)
     lam, member, totals = layout
-    shocks = g.standard_exponential((size, lam.size)) / lam
-    t = np.empty((size, d))
-    for j in range(d):
-        t[:, j] = shocks[:, member[:, j]].min(axis=1)
-    return np.exp(-t * totals)
+    unit = bool(np.all(lam == 1.0))     # x / 1.0 == x: skip the divide
+    u = np.empty((size, d))
+    for lo, hi in rng.row_chunks(size, lam.size):
+        shocks = g.standard_exponential((hi - lo, lam.size))
+        if not unit:
+            shocks /= lam
+        t = u[lo:hi]
+        for j in range(d):
+            t[:, j] = shocks[:, member[:, j]].min(axis=1)
+        np.exp(-t * totals, out=t)
+    return u
 
 
 def sample(model: RiskModel, n: int, seed: int, threads: int = 1,

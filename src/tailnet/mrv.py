@@ -121,6 +121,16 @@ def _as_matrix(sigma) -> np.ndarray:
     return CorrelationMatrix(np.asarray(sigma, dtype=float)).entries
 
 
+def _principal(m: np.ndarray, subset) -> CorrelationMatrix:
+    """Principal submatrix of the validated matrix ``m``, wrapped without
+    re-validation: symmetry, unit diagonal and positive definiteness carry
+    over from ``m``, so :func:`solve_qp` can skip the checks."""
+    ii = list(subset)
+    sub = object.__new__(CorrelationMatrix)
+    object.__setattr__(sub, "entries", m[np.ix_(ii, ii)])
+    return sub
+
+
 def _qp_candidate(m: np.ndarray, idx: tuple, tol: float):
     """The active-set pass test for one index set I.
 
@@ -192,8 +202,8 @@ def _subset_qp_cache(m: np.ndarray):
 
     def get(subset) -> QpSolution:
         if subset not in cache:
-            ii = list(subset)
-            cache[subset] = solve_qp(m[np.ix_(ii, ii)]) if len(ii) > 1 else \
+            cache[subset] = solve_qp(_principal(m, subset)) \
+                if len(subset) > 1 else \
                 QpSolution((0,), np.ones(1), 1.0, np.ones(1))
         return cache[subset]
 
@@ -300,7 +310,7 @@ def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
     subset = list(rect.subset)
     if len(subset) == 1:
         return theta * (t * rect.thresholds[0]) ** (-alpha)
-    sub = m[np.ix_(subset, subset)]
+    sub = _principal(m, subset)
     qp = solve_qp(sub)
     ups = upsilon_constant(sub, qp)
     z = np.asarray(rect.thresholds)

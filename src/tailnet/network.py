@@ -152,18 +152,33 @@ def select_rows(law: ALaw, k: int, m: int) -> ALaw:
 
 
 def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndarray:
-    edges = g.random((n, net.q, net.d)) < net.edge_prob
-    w = net.weights.draw(g, (n, net.q, net.d))
-    a = np.where(edges, w, 0.0)
-    # condition on no trivial rows: redraw offending rows until nonzero
-    while True:
-        dead = (a > 0).sum(axis=2) == 0
-        if not dead.any():
-            return a
-        idx = np.argwhere(dead)
-        ne = g.random((len(idx), net.d))
-        nw = net.weights.draw(g, (len(idx), net.d))
-        a[idx[:, 0], idx[:, 1]] = np.where(ne < net.edge_prob[idx[:, 1]], nw, 0.0)
+    """``n`` exposure matrices conditioned on no all-zero agent row.
+
+    The edge uniforms of all ``n`` draws are taken first, then the weights,
+    each pass in cache-sized row chunks; then every all-zero agent row is
+    redrawn (edges, then weights) until none is left.  RNG-order contract:
+    the chunks consume ``g`` exactly as one ``(n, q, d)`` draw does, and each
+    redraw round visits the rows still dead in row-major (``argwhere``)
+    order, so the bytes do not depend on the chunking.  Weights are > 0, so
+    a row is dead exactly when it has no edge, and only rows just redrawn
+    can still be dead.
+    """
+    q, d = net.q, net.d
+    edges = np.empty((n, q, d), dtype=bool)
+    for lo, hi in rng.row_chunks(n, q * d):
+        np.less(g.random((hi - lo, q, d)), net.edge_prob, out=edges[lo:hi])
+    a = np.zeros((n, q, d))
+    for lo, hi in rng.row_chunks(n, q * d):
+        np.copyto(a[lo:hi], net.weights.draw(g, (hi - lo, q, d)),
+                  where=edges[lo:hi])
+    idx = np.argwhere(~edges.any(axis=2))
+    while len(idx):
+        ne = g.random((len(idx), d)) < net.edge_prob[idx[:, 1]]
+        nw = net.weights.draw(g, (len(idx), d))
+        live = ne.any(axis=1)
+        a[idx[live, 0], idx[live, 1]] = np.where(ne[live], nw[live], 0.0)
+        idx = idx[~live]
+    return a
 
 
 def _draw_law(law: ALaw, g: np.random.Generator, n: int) -> np.ndarray:

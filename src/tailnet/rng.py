@@ -31,6 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 BLOCK_SIZE = 1 << 20
+# Bytes of float64 per sampler chunk: small enough to stay in a core's cache.
+_CHUNK_BYTES = 1 << 20
 
 STREAM_RISK = 0
 STREAM_MIXTURE = 1
@@ -56,6 +58,24 @@ def blocks(n: int, block_size: int = BLOCK_SIZE):
         yield b, size
         n -= size
         b += 1
+
+
+def chunk_rows(row_width: int) -> int:
+    """Rows of ``row_width`` float64 values that fit in one cache-sized chunk."""
+    return max(1, _CHUNK_BYTES // (8 * row_width))
+
+
+def row_chunks(n: int, row_width: int):
+    """Yield ``(lo, hi)`` row ranges covering ``n`` rows in cache-sized chunks.
+
+    Samplers draw and reduce a block chunk by chunk so that each pass over a
+    chunk stays in cache.  Consecutive ``(m_i, k)`` draws from one Generator
+    yield the same values as one ``(sum m_i, k)`` draw, so chunking does not
+    change the sampled bytes.
+    """
+    step = chunk_rows(row_width)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 def sample_blocked(n, seed, stream, draw, threads=1, block_size=BLOCK_SIZE):

@@ -1,0 +1,49 @@
+"""Reference samplers for the Marshall-Olkin shocks and the adjacency draw.
+
+:func:`mo_uniform_block` and :func:`draw_base` are the whole-block kernels
+that :func:`tailnet.copula._draw_uniform_block` (Marshall-Olkin branch) and
+:func:`tailnet.network._draw_base` replace: one ``(size, 2^d - 1)``
+exponential draw reduced column by column, and one ``(n, q, d)`` edge and
+weight draw followed by a full rescan for all-zero rows after every redraw
+round.  The cache-blocked kernels must return the same bytes from the same
+Generator.  Test helpers only.
+"""
+
+import numpy as np
+
+from tailnet.copula import _mo_shock_layout
+from tailnet.network import AggregatedNetwork
+
+
+def mo_uniform_block(rates, g: np.random.Generator, size: int) -> np.ndarray:
+    lam, member, totals = _mo_shock_layout(rates)
+    d = rates.d
+    shocks = g.standard_exponential((size, lam.size)) / lam
+    t = np.empty((size, d))
+    for j in range(d):
+        t[:, j] = shocks[:, member[:, j]].min(axis=1)
+    return np.exp(-t * totals)
+
+
+def draw_base(net, g: np.random.Generator, n: int) -> np.ndarray:
+    edges = g.random((n, net.q, net.d)) < net.edge_prob
+    w = net.weights.draw(g, (n, net.q, net.d))
+    a = np.where(edges, w, 0.0)
+    # condition on no trivial rows: redraw offending rows until nonzero
+    while True:
+        dead = (a > 0).sum(axis=2) == 0
+        if not dead.any():
+            return a
+        idx = np.argwhere(dead)
+        ne = g.random((len(idx), net.d))
+        nw = net.weights.draw(g, (len(idx), net.d))
+        a[idx[:, 0], idx[:, 1]] = np.where(ne < net.edge_prob[idx[:, 1]], nw, 0.0)
+
+
+def draw_law(law, g: np.random.Generator, n: int) -> np.ndarray:
+    """:func:`draw_base` with the row sums of an ``AggregatedNetwork``."""
+    if isinstance(law, AggregatedNetwork):
+        a = draw_base(law.base, g, n)
+        return np.stack([a[:, list(law.rows_s), :].sum(axis=1),
+                         a[:, list(law.rows_t), :].sum(axis=1)], axis=1)
+    return draw_base(law, g, n)

@@ -3,6 +3,7 @@ its KKT conditions beyond the oracle's reach, and the subset-loop cap."""
 
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestAgainstEnumeration:
         with pytest.raises(DegenerateQpError) as err:
             tn.solve_qp(np.eye(3))
         assert err.value.candidates == []
+
+    def test_subset_solves_skip_validation_bit_identically(self, corr_rng):
+        # the cone spectra solve principal submatrices of a validated matrix
+        # without re-validating them; the answers must not move
+        sigma = random_correlation(6, corr_rng)
+        qp_of = tn.mrv._subset_qp_cache(sigma.entries)
+        for size in range(2, 7):
+            for subset in combinations(range(6), size):
+                sub = sigma.submatrix(subset)
+                assert_bit_identical(qp_of(subset), enumerate_qp(sub))
 
     @given(st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=8))
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tailnet import rng
 
@@ -38,3 +39,14 @@ def test_reduce_blocked_matches_direct_count():
         int((rng.philox_stream(11, 2, block=b).random(size) < 0.25).sum())
         for b, size in rng.blocks(500_000, 1 << 17))
     assert total == direct
+
+
+@pytest.mark.parametrize("method", ["standard_exponential", "random"])
+def test_consecutive_row_draws_equal_one_draw(method):
+    # the cache-blocked samplers rely on this to keep the sampled bytes
+    rows = [1, 4095, 4096, 4097, 333, 70_000]
+    k = 15
+    whole = getattr(rng.philox_stream(5, 0, block=2), method)((sum(rows), k))
+    g = rng.philox_stream(5, 0, block=2)
+    parts = np.concatenate([getattr(g, method)((m, k)) for m in rows])
+    assert parts.tobytes() == whole.tobytes()
