@@ -358,23 +358,25 @@ class BernsteinMixture:
         return self.pair_survival(u)
 
 
+def _mixture_block(g: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws of the uniform-minimum permutation mixture: (U, V) fill
+    two slots and min(U, V) the third, the branch picked by a third uniform."""
+    raw = g.random((size, 3))
+    u, v = raw[:, 0], raw[:, 1]
+    branch = np.minimum((raw[:, 2] * 3).astype(np.int64), 2)
+    m = np.minimum(u, v)
+    out = np.empty((size, 3))
+    for b, cols in enumerate(((0, 1), (0, 2), (1, 2))):
+        mask = branch == b
+        out[mask, cols[0]] = u[mask]
+        out[mask, cols[1]] = v[mask]
+        out[mask, 3 - cols[0] - cols[1]] = m[mask]
+    return out
+
+
 def bernstein_mixture_sample(n: int, seed: int, threads: int = 1) -> np.ndarray:
     """Draw (n, 3) samples of the uniform-minimum permutation mixture."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
-
-    def draw(g, size):
-        raw = g.random((size, 3))
-        u, v = raw[:, 0], raw[:, 1]
-        branch = np.minimum((raw[:, 2] * 3).astype(np.int64), 2)
-        m = np.minimum(u, v)
-        out = np.empty((size, 3))
-        for b, cols in enumerate(((0, 1), (0, 2), (1, 2))):
-            mask = branch == b
-            out[mask, cols[0]] = u[mask]
-            out[mask, cols[1]] = v[mask]
-            rest = 3 - cols[0] - cols[1]
-            out[mask, rest] = m[mask]
-        return out
-
-    return rng.sample_blocked(n, seed, rng.STREAM_MIXTURE, draw, threads=threads)
+    return rng.sample_blocked(n, seed, rng.STREAM_MIXTURE, _mixture_block,
+                              threads=threads)

@@ -27,7 +27,8 @@ from scipy.optimize import nnls
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
-                     MarshallOlkin, RiskModel, survival_copula)
+                     MarshallOlkin, RiskModel, _draw_uniform_block,
+                     _mixture_block, survival_copula)
 from .errors import CapacityError, DegenerateQpError, DomainError, ModelError
 from .orthant import normal_orthant_survival
 
@@ -436,7 +437,6 @@ def empirical_ai_ratio(model, subset, ell: int, u_grid: Sequence[float],
         stream = rng.STREAM_RISK
 
         def draw(g, size):
-            from .copula import _draw_uniform_block
             z = model.margin.quantile_tail(_draw_uniform_block(model, g, size, None))
             return _count_hits(z, s, reduced, thresholds)
     elif isinstance(model, BernsteinMixture):
@@ -444,17 +444,7 @@ def empirical_ai_ratio(model, subset, ell: int, u_grid: Sequence[float],
         stream = rng.STREAM_MIXTURE
 
         def draw(g, size):
-            raw = g.random((size, 3))
-            u_, v_ = raw[:, 0], raw[:, 1]
-            branch = np.minimum((raw[:, 2] * 3).astype(np.int64), 2)
-            m_ = np.minimum(u_, v_)
-            z = np.empty((size, 3))
-            for b, cols in enumerate(((0, 1), (0, 2), (1, 2))):
-                mask = branch == b
-                z[mask, cols[0]] = u_[mask]
-                z[mask, cols[1]] = v_[mask]
-                z[mask, 3 - cols[0] - cols[1]] = m_[mask]
-            return _count_hits(z, s, reduced, thresholds)
+            return _count_hits(_mixture_block(g, size), s, reduced, thresholds)
     else:
         raise ModelError(f"unsupported model type {type(model).__name__}")
 

@@ -1,21 +1,24 @@
 """Bipartite bank-asset layer: adjacency laws, loss vectors X = A Z, the
-cone-selection combinatorics, pairwise/aggregate/one-vs-max limit measures,
-conditional tail probabilities, CoVaR rates, and the extreme CoVaR index.
+cone-selection combinatorics, pairwise limit measures, conditional tail
+probabilities, CoVaR rates, and the extreme CoVaR index.
 
-Agent losses are X_k = sum_j A_kj Z_j with A independent of Z.  Everything
-pairwise is phrased for agent rows (0, 1) after row selection; higher-q
-queries reduce to that through :func:`select_rows`, :func:`aggregate`, or
-the one-vs-max construction.
+Agent losses are X_k = sum_j A_kj Z_j with A independent of Z.  Every
+operation is phrased for the two rows of a pair law; higher-q queries
+reduce to one by :func:`select_rows` or by a row reduction of A: the row
+sums of :func:`aggregate`, or agent k against the row maximum of the
+others in :func:`one_vs_max`.  Each case's closed forms sit in one record.
 
 Moment terms over a random adjacency law are Monte Carlo estimates over
 ADJ_MC_DRAWS draws of the conditioned (no-trivial-row) law, with reported
-standard errors; deterministic matrices evaluate exactly.
+standard errors; deterministic matrices evaluate exactly.  A random law is
+drawn once per (law, seed, count); its row reductions reduce those draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
 
@@ -47,8 +50,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("point", "uniform"):
             raise ModelError(f"unknown weight kind {self.kind!r}")
-        if not 0 < self.lo <= self.hi:
-            raise ModelError("weights need 0 < lo <= hi")
+        if not 0 < self.lo <= self.hi < math.inf:
+            raise ModelError("weights need 0 < lo <= hi < inf")
         if self.kind == "point" and self.lo != self.hi:
             raise ModelError("point weights need lo == hi")
 
@@ -70,7 +73,7 @@ class BipartiteNetwork:
     def __post_init__(self):
         p = np.broadcast_to(np.asarray(self.edge_prob, dtype=float),
                             (self.q, self.d)).copy()
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):
             raise ModelError("edge probabilities must lie in [0, 1]")
         if np.any(p.max(axis=1) <= 0):
             raise ModelError("every agent row needs some edge probability > 0")
@@ -88,8 +91,8 @@ class AdjacencyMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2:
             raise ModelError("adjacency must be a matrix")
-        if np.any(m < 0):
-            raise ModelError("adjacency entries must be nonnegative")
+        if not np.all(np.isfinite(m) & (m >= 0)):
+            raise ModelError("adjacency entries must be finite and nonnegative")
         if np.any((m > 0).sum(axis=1) == 0):
             raise ModelError("adjacency has an all-zero agent row")
         m = m.copy()
@@ -99,11 +102,17 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AggregatedNetwork:
-    """Random law of (e_S, e_T)' A for a random base network."""
+    """Random two-row law (op_{k in S} a_k, op_{m in T} a_m) of the rows of
+    a random base network, with ``op`` the row sum or the row max."""
 
     base: BipartiteNetwork
     rows_s: tuple
     rows_t: tuple
+    op: str = "sum"
+
+    def __post_init__(self):
+        if self.op not in ("sum", "max"):
+            raise ModelError(f"unknown row reduction {self.op!r}")
 
 
 ALaw = Union[AdjacencyMatrix, BipartiteNetwork, AggregatedNetwork, np.ndarray]
@@ -181,26 +190,36 @@ def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndar
     return a
 
 
+def _reduce(law: AggregatedNetwork, a: np.ndarray) -> np.ndarray:
+    """Draws of ``law`` from draws ``a`` of its base network."""
+    return np.stack([getattr(a[:, list(rows), :], law.op)(axis=1)
+                     for rows in (law.rows_s, law.rows_t)], axis=1)
+
+
+def _row_reduction(law: ALaw, rows_s, rows_t, op: str) -> ALaw:
+    """Two-row law (op over rows_s, op over rows_t) of a q-row law."""
+    if not is_deterministic(law):
+        return AggregatedNetwork(law, tuple(rows_s), tuple(rows_t), op)
+    m = law_matrix(law)
+    return AdjacencyMatrix(np.vstack([getattr(m[list(rows)], op)(axis=0)
+                                      for rows in (rows_s, rows_t)]))
+
+
 def _draw_law(law: ALaw, g: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(law, BipartiteNetwork):
-        return _draw_base(law, g, n)
+    if is_deterministic(law):
+        return np.broadcast_to(law_matrix(law), (n,) + law_matrix(law).shape)
     if isinstance(law, AggregatedNetwork):
-        a = _draw_base(law.base, g, n)
-        return np.stack([a[:, list(law.rows_s), :].sum(axis=1),
-                         a[:, list(law.rows_t), :].sum(axis=1)], axis=1)
-    return np.broadcast_to(law_matrix(law), (n,) + law_matrix(law).shape)
+        return _reduce(law, _draw_base(law.base, g, n))
+    return _draw_base(law, g, n)
 
 
 def sample_adjacency(net: BipartiteNetwork, seed: int) -> AdjacencyMatrix:
     """One exposure matrix draw conditioned on no trivial rows."""
-    g = rng.philox_stream(seed, rng.STREAM_ADJACENCY)
-    return AdjacencyMatrix(_draw_base(net, g, 1)[0])
+    return AdjacencyMatrix(sample_adjacency_batch(net, seed, 1)[0])
 
 
-def sample_adjacency_batch(law: ALaw, seed: int, n: int,
-                           stream: int = rng.STREAM_ADJACENCY) -> np.ndarray:
-    g = rng.philox_stream(seed, stream)
-    return _draw_law(law, g, n)
+def sample_adjacency_batch(law: ALaw, seed: int, n: int) -> np.ndarray:
+    return _draw_law(law, rng.philox_stream(seed, rng.STREAM_ADJACENCY), n)
 
 
 def sample_losses(law: ALaw, model: RiskModel, n: int, seed: int,
@@ -257,14 +276,10 @@ def overlap_profile(law: ALaw, model: Optional[RiskModel] = None,
     rho_vee = rho_star = None
     if model is not None and isinstance(model.dependence, Gaussian):
         sig = model.dependence.sigma.entries
-        d = sig.shape[0]
-        rho_vee = float(sig[~np.eye(d, dtype=bool)].max())
-        best = -np.inf
-        for ell in range(d):
-            for j in range(d):
-                if ell != j and supp[0, ell] and supp[1, j]:
-                    best = max(best, sig[ell, j])
-        rho_star = float(best) if best > -np.inf else None
+        off = ~np.eye(len(sig), dtype=bool)
+        rho_vee = float(sig[off].max())
+        linked = off & supp[0][:, None] & supp[1][None, :]
+        rho_star = float(sig[linked].max()) if linked.any() else None
     return OverlapProfile(shares, rho_vee, rho_star)
 
 
@@ -312,13 +327,26 @@ class MomentEstimate:
         return MomentEstimate(val, se)
 
 
+@lru_cache(maxsize=4)
+def _moment_draws(law: ALaw, seed: int, n_a: int) -> np.ndarray:
+    """The ``n_a`` draws of a random law behind its moments at ``seed``,
+    shared read-only: a base network is drawn once, and a row reduction
+    reduces its base's draws."""
+    if isinstance(law, AggregatedNetwork):
+        a = _reduce(law, _moment_draws(law.base, seed, n_a))
+    else:
+        a = _draw_base(law, rng.philox_stream(seed, rng.STREAM_A_MOMENTS), n_a)
+    a.flags.writeable = False
+    return a
+
+
 def a_moment(law: ALaw, fn, n_a: int = ADJ_MC_DRAWS, seed: int = 0) -> MomentEstimate:
     """E[fn(A)] over the adjacency law; fn maps (m, q, d) batches to per-draw
     scalars.  Deterministic laws evaluate exactly (stderr 0)."""
     if is_deterministic(law):
         val = fn(law_matrix(law)[None, :, :])
         return MomentEstimate(float(np.asarray(val).ravel()[0]), 0.0)
-    a = sample_adjacency_batch(law, seed, n_a, stream=rng.STREAM_A_MOMENTS)
+    a = _moment_draws(law, seed, n_a)
     vals = np.asarray(fn(a), dtype=float)
     return MomentEstimate(float(vals.mean()),
                           float(vals.std(ddof=1) / math.sqrt(n_a)))
@@ -443,41 +471,77 @@ def disjoint_mu_bar_2(law: ALaw, model: RiskModel, x, **kw) -> MomentEstimate:
                     * np.maximum(r1, r2) ** emax).sum(axis=(1, 2))
 
         return a_moment(law, fn, **kw)
-    rho = overlap_profile(law, model).rho_star
+    rho = _case_forms(case, model, law).rho
     return gauss_constant_d(law, model, rho, **kw).scaled(
         (x1 * x2) ** (-alpha / (1.0 + rho)))
+
+
+@dataclass(frozen=True)
+class _CaseForms:
+    """Closed forms of one asymptotic case: the joint-exceedance cone's index
+    ``alpha2`` and inverse scale ``b2_inv``, the level function ``g`` keeping
+    CoVaR of VaR's order, the ECI, and rho_star (Gaussian case only)."""
+
+    alpha2: float
+    b2_inv: PowerLog
+    g: GSpec
+    eci: EciReport
+    rho: Optional[float] = None
+
+
+def _case_forms(case: str, model: RiskModel,
+                law: Optional[ALaw] = None) -> _CaseForms:
+    a, th = model.margin.alpha, model.margin.theta
+    if case == CASE_GAUSS:
+        rho = overlap_profile(law, model).rho_star
+        a2 = 2.0 * a / (1.0 + rho)
+        cc = gauss_constant_c(rho, a)
+        return _CaseForms(
+            a2, PowerLog(c=cc * th ** (-2.0 / (1.0 + rho)), a=a2,
+                         p=rho / (1.0 + rho), kappa=0.0, lam=1.0),
+            gauss_level_function(rho, a),
+            EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
+                      a, 2.0 * a / (1.0 + rho)), rho)
+    if case == CASE_OVERLAP:
+        a2, g, eci = a, GSpec(0.0), EciReport(math.inf, 0.0, a, a)
+    elif case == CASE_IID:
+        a2, g, eci = 2.0 * a, GSpec(1.0), EciReport(1.0, 1.0, a, 2.0 * a)
+    elif case == CASE_MO_EQUAL:
+        a2 = 1.5 * a
+        g = GSpec(_mo_max_exponent("equal", model.d))
+        eci = EciReport(2.0, 0.5, a, 1.5 * a)
+    elif case == CASE_MO_PROP:
+        d = model.d
+        a2 = a * (3.0 * d + 2.0) / (2.0 * (d + 1.0))
+        g = GSpec(_mo_max_exponent("proportional", d))
+        eci = EciReport(2.0 + 2.0 / d, d / (2.0 * d + 2.0), a,
+                        a * (3.0 * d + 2.0) / (2.0 * (d + 1.0)))
+    else:
+        raise DispatchError(f"unknown case {case!r}")
+    return _CaseForms(a2, PowerLog(c=th ** (-a2 / a), a=a2), g, eci)
 
 
 def network_alpha2(case: str, model: RiskModel,
                    law: Optional[ALaw] = None) -> float:
     """Regular-variation index of the joint-exceedance cone per case."""
-    a = model.margin.alpha
-    if case == CASE_OVERLAP:
-        return a
-    if case == CASE_IID:
-        return 2.0 * a
-    if case == CASE_MO_EQUAL:
-        return 1.5 * a
-    if case == CASE_MO_PROP:
-        d = model.d
-        return a * (3.0 * d + 2.0) / (2.0 * (d + 1.0))
-    if case == CASE_GAUSS:
-        rho = overlap_profile(law, model).rho_star
-        return 2.0 * a / (1.0 + rho)
-    raise DispatchError(f"unknown case {case!r}")
+    return _case_forms(case, model, law).alpha2
 
 
 def network_b2_inv(case: str, model: RiskModel,
                    law: Optional[ALaw] = None) -> PowerLog:
     """Inverse scale function of the joint-exceedance cone per case."""
-    a, th = model.margin.alpha, model.margin.theta
-    a2 = network_alpha2(case, model, law)
-    if case == CASE_GAUSS:
-        rho = overlap_profile(law, model).rho_star
-        cc = gauss_constant_c(rho, a)
-        return PowerLog(c=cc * th ** (-2.0 / (1.0 + rho)), a=a2,
-                        p=rho / (1.0 + rho), kappa=0.0, lam=1.0)
-    return PowerLog(c=th ** (-a2 / a), a=a2)
+    return _case_forms(case, model, law).b2_inv
+
+
+def network_g(case: str, model: RiskModel, law: Optional[ALaw] = None) -> GSpec:
+    """Level function keeping the case's CoVaR of VaR's order."""
+    return _case_forms(case, model, law).g
+
+
+def network_eci(case: str, model: RiskModel,
+                law: Optional[ALaw] = None) -> EciReport:
+    """Closed-form extreme CoVaR index per case."""
+    return _case_forms(case, model, law).eci
 
 
 def network_cond_prob(case: str, law: ALaw, model: RiskModel, x, t: float,
@@ -499,7 +563,7 @@ def network_cond_prob(case: str, law: ALaw, model: RiskModel, x, t: float,
         eta = _mo_max_exponent(model.dependence.rates.variant, model.d)
         return disjoint_mu_bar_2(law, model, (x1, x2), **kw).scaled(
             (theta * t ** -alpha) ** eta * x2 ** alpha / m2.value)
-    rho = overlap_profile(law, model).rho_star
+    rho = _case_forms(case, model, law).rho
     fac = (theta * t ** -alpha) ** ((1.0 - rho) / (1.0 + rho)) \
         * math.log(t) ** (-rho / (1.0 + rho)) \
         * x1 ** (-alpha / (1.0 + rho)) * x2 ** (alpha * rho / (1.0 + rho)) \
@@ -523,20 +587,12 @@ class NetworkCovar:
     var_gamma: float
 
 
-def network_var_asymptotic(law: ALaw, model: RiskModel, gamma: float,
-                           row: int = 1, **kw) -> float:
-    """Asymptotic VaR of an agent loss: (theta sum_l E[a_l^alpha] / gamma)^(1/alpha)."""
-    alpha, theta = model.margin.alpha, model.margin.theta
-    if not 0 < gamma < 1:
-        raise DomainError("gamma must lie in (0, 1)")
-    return (theta * row_moment_sum(law, row, alpha, **kw).value / gamma) ** (1.0 / alpha)
-
-
 def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
                   upsilon: float, var_gamma: Optional[float] = None,
                   **kw) -> NetworkCovar:
     """Asymptotic CoVaR displays per case; see :class:`NetworkCovar`."""
     _check_case(case, law, model)
+    forms = _case_forms(case, model, law)
     alpha, theta = model.margin.alpha, model.margin.theta
     if not 0 < gamma < 1 or not upsilon > 0:
         raise DomainError("need gamma in (0, 1) and upsilon > 0")
@@ -548,12 +604,12 @@ def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
         m1 = row_moment_sum(law, 0, alpha, **kw)
         val = m1.powered(1.0 / alpha).scaled(
             u ** (-1.0 / alpha) * m2 ** (-1.0 / alpha) * var_gamma)
-        return NetworkCovar(GSpec(0.0), val, None, var_gamma)
+        return NetworkCovar(forms.g, val, None, var_gamma)
     if case == CASE_IID:
         num = _pair_product_sum(law, alpha, alpha, **kw)
         val = num.powered(1.0 / alpha).scaled(
             u ** (-1.0 / alpha) * m2 ** (-2.0 / alpha) * var_gamma)
-        return NetworkCovar(GSpec(1.0), val, None, var_gamma)
+        return NetworkCovar(forms.g, val, None, var_gamma)
     if case in (CASE_MO_EQUAL, CASE_MO_PROP):
         eta = _mo_max_exponent(model.dependence.rates.variant, model.d)
         low = _pair_product_sum(law, alpha, alpha * eta, **kw).powered(
@@ -563,49 +619,14 @@ def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
             1.0 / (alpha * eta)).scaled(
             u ** (-1.0 / (alpha * eta))
             * m2 ** (-(1.0 + eta) / (alpha * eta)) * var_gamma)
-        return NetworkCovar(GSpec(eta), low, high, var_gamma)
-    rho = overlap_profile(law, model).rho_star
+        return NetworkCovar(forms.g, low, high, var_gamma)
+    rho = forms.rho
     val = gauss_constant_d(law, model, rho, **kw).powered(
         (1.0 + rho) / alpha).scaled(
         u ** (-(1.0 + rho) / alpha)
         * gauss_constant_c(rho, alpha) ** (-(1.0 + rho) / alpha)
         * m2 ** (-2.0 / alpha) * var_gamma)
-    return NetworkCovar(gauss_level_function(rho, alpha), val, None, var_gamma)
-
-
-def network_g(case: str, model: RiskModel, law: Optional[ALaw] = None) -> GSpec:
-    """Level function keeping the case's CoVaR of VaR's order."""
-    if case == CASE_OVERLAP:
-        return GSpec(0.0)
-    if case == CASE_IID:
-        return GSpec(1.0)
-    if case in (CASE_MO_EQUAL, CASE_MO_PROP):
-        return GSpec(_mo_max_exponent(model.dependence.rates.variant, model.d))
-    if case == CASE_GAUSS:
-        rho = overlap_profile(law, model).rho_star
-        return gauss_level_function(rho, model.margin.alpha)
-    raise DispatchError(f"unknown case {case!r}")
-
-
-def network_eci(case: str, model: RiskModel,
-                law: Optional[ALaw] = None) -> EciReport:
-    """Closed-form extreme CoVaR index per case."""
-    a = model.margin.alpha
-    if case == CASE_OVERLAP:
-        return EciReport(math.inf, 0.0, a, a)
-    if case == CASE_IID:
-        return EciReport(1.0, 1.0, a, 2.0 * a)
-    if case == CASE_MO_EQUAL:
-        return EciReport(2.0, 0.5, a, 1.5 * a)
-    if case == CASE_MO_PROP:
-        d = model.d
-        return EciReport(2.0 + 2.0 / d, d / (2.0 * d + 2.0), a,
-                         a * (3.0 * d + 2.0) / (2.0 * (d + 1.0)))
-    if case == CASE_GAUSS:
-        rho = overlap_profile(law, model).rho_star
-        return EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
-                         a, 2.0 * a / (1.0 + rho))
-    raise DispatchError(f"unknown case {case!r}")
+    return NetworkCovar(forms.g, val, None, var_gamma)
 
 
 def aggregate(law: ALaw, agents_s, agents_t) -> ALaw:
@@ -619,18 +640,10 @@ def aggregate(law: ALaw, agents_s, agents_t) -> ALaw:
         raise DomainError("agent subsets must be nonempty")
     if any(i < 0 or i >= q for i in s + t):
         raise DomainError("agent index out of range")
-    if is_deterministic(law):
-        m = law_matrix(law)
-        return AdjacencyMatrix(np.vstack([m[s].sum(axis=0), m[t].sum(axis=0)]))
-    base = law.base if isinstance(law, AggregatedNetwork) else law
     if isinstance(law, AggregatedNetwork):
         raise DomainError("aggregating an aggregate is not supported")
-    return AggregatedNetwork(base, tuple(s), tuple(t))
+    return _row_reduction(law, s, t, "sum")
 
-
-# ---------------------------------------------------------------------------
-# one agent against the maximum of the others
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OneVsMaxReport:
@@ -653,176 +666,35 @@ class OneVsMaxReport:
     eci: EciReport
 
 
-def _max_others(a: np.ndarray, k: int) -> np.ndarray:
-    others = [m for m in range(a.shape[1]) if m != k]
-    return a[:, others, :].max(axis=1)
-
-
-def one_vs_max_case(law: ALaw, model: RiskModel, k: int) -> str:
-    """Overlap/disjoint regime for agent k against the rest."""
-    q, _ = law_shape(law)
-    if not 0 <= k < q or q < 2:
-        raise DomainError("need q >= 2 and a valid agent index")
-    supp = support(law)
-    others = [m for m in range(q) if m != k]
-    shares = bool(np.any(supp[k] & supp[others].any(axis=0)))
-    if shares:
-        return CASE_OVERLAP
-    dep = model.dependence
-    if isinstance(dep, Iid):
-        return CASE_IID
-    if isinstance(dep, MarshallOlkin):
-        variant = dep.rates.variant
-        if variant == "equal":
-            return CASE_MO_EQUAL
-        if variant == "proportional":
-            return CASE_MO_PROP
-        raise ModelError("disjoint asymptotics need the equal or proportional variant")
-    if isinstance(dep, Gaussian):
-        return CASE_GAUSS
-    raise ModelError(f"unsupported dependence {type(dep).__name__}")
-
-
-def _one_vs_max_rho_star(law: ALaw, model: RiskModel, k: int) -> float:
-    sig = model.dependence.sigma.entries
-    supp = support(law)
-    q, d = law_shape(law)
-    others = [m for m in range(q) if m != k]
-    any_other = supp[others].any(axis=0)
-    best = -np.inf
-    for ell in range(d):
-        for j in range(d):
-            if ell != j and supp[k, ell] and any_other[j]:
-                best = max(best, sig[ell, j])
-    if best == -np.inf:
-        raise ModelError("no asset pair connects agent k with the rest")
-    return float(best)
-
-
 def one_vs_max(law: ALaw, model: RiskModel, k: int, x, t: float,
                gamma: float, upsilon: float, **kw) -> OneVsMaxReport:
     """Limit measures, conditional tail probabilities, CoVaR and ECI for
-    one agent against the maximum of all the others."""
-    case = one_vs_max_case(law, model, k)
+    one agent against the maximum of all the others: the pairwise
+    operations on the two-row law (a_k, max_{m != k} a_m), and on its row
+    swap for the reverse direction."""
+    q, _ = law_shape(law)
+    if not 0 <= k < q or q < 2:
+        raise DomainError("need q >= 2 and a valid agent index")
+    if isinstance(law, AggregatedNetwork):
+        # already two rows: the other row is the maximum of the others
+        rows = (law.rows_s, law.rows_t)
+        pair, swap = (AggregatedNetwork(law.base, rows[i], rows[1 - i], law.op)
+                      for i in (k, 1 - k))
+    else:
+        others = [m for m in range(q) if m != k]
+        pair = _row_reduction(law, [k], others, "max")
+        swap = _row_reduction(law, others, [k], "max")
+    case = resolve_case(pair, model)
     x1, x2 = _pair_thresholds(x)
-    alpha, theta = model.margin.alpha, model.margin.theta
-    if case != CASE_OVERLAP and not t > 1.0:
-        raise DomainError("t must exceed 1 for the decaying factor")
-
-    def mk(a):
-        return (a[:, k, :] ** alpha).sum(axis=1)
-
-    def mmax(a):
-        return (_max_others(a, k) ** alpha).sum(axis=1)
-
-    m_k = a_moment(law, mk, **kw)
-    m_max = a_moment(law, mmax, **kw)
-    var2 = (theta * m_max.value / gamma) ** (1.0 / alpha)
-    var1 = (theta * m_k.value / gamma) ** (1.0 / alpha)
-
-    def fn_mu1(a):
-        ratio = np.maximum(a[:, k, :] / x1, _max_others(a, k) / x2)
-        return (ratio ** alpha).sum(axis=1)
-
-    mu1 = a_moment(law, fn_mu1, **kw)
-
-    if case == CASE_OVERLAP:
-        def fn_mu2(a):
-            others = [m for m in range(a.shape[1]) if m != k]
-            mins = np.minimum(a[:, k, None, :] / x1, a[:, others, :] / x2)
-            return (mins.max(axis=1) ** alpha).sum(axis=1)
-
-        mu2 = a_moment(law, fn_mu2, **kw)
-        c12 = mu2.scaled(x2 ** alpha / m_max.value)
-        c21 = mu2.scaled(x1 ** alpha / m_k.value)
-        g = GSpec(0.0)
-        cv12 = NetworkCovar(g, m_k.powered(1.0 / alpha).scaled(
-            upsilon ** (-1.0 / alpha) * m_max.value ** (-1.0 / alpha) * var2),
-            None, var2)
-        cv21 = NetworkCovar(g, m_max.powered(1.0 / alpha).scaled(
-            upsilon ** (-1.0 / alpha) * m_k.value ** (-1.0 / alpha) * var1),
-            None, var1)
-        rep = EciReport(math.inf, 0.0, alpha, alpha)
-        return OneVsMaxReport(case, mu1, mu2, c12, c21, g, cv12, cv21, rep)
-
-    if case == CASE_IID:
-        def fn_t(a):
-            return mk(a) * mmax(a)
-
-        tsum = a_moment(law, fn_t, **kw)
-        mu2 = tsum.scaled((x1 * x2) ** -alpha)
-        c12 = tsum.scaled(theta * t ** -alpha * x1 ** -alpha / m_max.value)
-        c21 = tsum.scaled(theta * t ** -alpha * x2 ** -alpha / m_k.value)
-        g = GSpec(1.0)
-        cv12 = NetworkCovar(g, tsum.powered(1.0 / alpha).scaled(
-            upsilon ** (-1.0 / alpha) * m_max.value ** (-2.0 / alpha) * var2),
-            None, var2)
-        cv21 = NetworkCovar(g, tsum.powered(1.0 / alpha).scaled(
-            upsilon ** (-1.0 / alpha) * m_k.value ** (-2.0 / alpha) * var1),
-            None, var1)
-        rep = EciReport(1.0, 1.0, alpha, 2.0 * alpha)
-        return OneVsMaxReport(case, mu1, mu2, c12, c21, g, cv12, cv21, rep)
-
-    if case in (CASE_MO_EQUAL, CASE_MO_PROP):
-        d = model.d
-        eta = _mo_max_exponent(model.dependence.rates.variant, d)
-
-        def fn_mu2(a):
-            r1 = a[:, k, :, None] / x1
-            r2 = _max_others(a, k)[:, None, :] / x2
-            return (np.minimum(r1, r2) ** alpha
-                    * np.maximum(r1, r2) ** (alpha * eta)).sum(axis=(1, 2))
-
-        mu2 = a_moment(law, fn_mu2, **kw)
-        fac = (theta * t ** -alpha) ** eta
-        c12 = mu2.scaled(fac * x2 ** alpha / m_max.value)
-        c21 = mu2.scaled(fac * x1 ** alpha / m_k.value)
-        g = GSpec(eta)
-
-        def fn_low(a):
-            return (a[:, k, :] ** alpha).sum(axis=1) \
-                * (_max_others(a, k) ** (alpha * eta)).sum(axis=1)
-
-        def fn_high(a):
-            return (a[:, k, :] ** (alpha * eta)).sum(axis=1) \
-                * (_max_others(a, k) ** alpha).sum(axis=1)
-
-        low = a_moment(law, fn_low, **kw).powered(1.0 / alpha).scaled(
-            upsilon ** (-1.0 / alpha) * m_max.value ** (-(1.0 + eta) / alpha) * var2)
-        high = a_moment(law, fn_high, **kw).powered(1.0 / (alpha * eta)).scaled(
-            upsilon ** (-1.0 / (alpha * eta))
-            * m_max.value ** (-(1.0 + eta) / (alpha * eta)) * var2)
-        cv12 = NetworkCovar(g, low, high, var2)
-        a2 = network_alpha2(case, model)
-        rep = EciReport(alpha / (a2 - alpha), (a2 - alpha) / alpha, alpha, a2)
-        return OneVsMaxReport(case, mu1, mu2, c12, c21, g, cv12, None, rep)
-
-    rho = _one_vs_max_rho_star(law, model, k)
-    sigma = model.dependence.sigma.entries
-    mask = _gauss_pair_mask(sigma, rho)
-    c = alpha / (1.0 + rho)
-    pre = (1.0 + rho) ** 1.5 / (2.0 * math.pi * math.sqrt(1.0 - rho))
-
-    def fn_dstar(a):
-        prod = (a[:, k, :, None] ** c) * (_max_others(a, k)[:, None, :] ** c)
-        return (prod * mask).sum(axis=(1, 2))
-
-    dstar = a_moment(law, fn_dstar, **kw).scaled(pre)
-    cc = gauss_constant_c(rho, alpha)
-    mu2 = dstar.scaled((x1 * x2) ** (-alpha / (1.0 + rho)))
-    fac = (theta * t ** -alpha) ** ((1.0 - rho) / (1.0 + rho)) \
-        * math.log(t) ** (-rho / (1.0 + rho)) / cc
-    c12 = dstar.scaled(fac * x1 ** (-alpha / (1.0 + rho))
-                       * x2 ** (alpha * rho / (1.0 + rho)) / m_max.value)
-    c21 = dstar.scaled(fac * x2 ** (-alpha / (1.0 + rho))
-                       * x1 ** (alpha * rho / (1.0 + rho)) / m_k.value)
-    g = gauss_level_function(rho, alpha)
-    core = dstar.powered((1.0 + rho) / alpha).scaled(
-        upsilon ** (-(1.0 + rho) / alpha) * cc ** (-(1.0 + rho) / alpha))
-    cv12 = NetworkCovar(g, core.scaled(m_max.value ** (-2.0 / alpha) * var2),
-                        None, var2)
-    cv21 = NetworkCovar(g, core.scaled(m_k.value ** (-2.0 / alpha) * var1),
-                        None, var1)
-    rep = EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
-                    alpha, 2.0 * alpha / (1.0 + rho))
-    return OneVsMaxReport(case, mu1, mu2, c12, c21, g, cv12, cv21, rep)
+    mu_bar_2 = mu_bar_2_overlap if case == CASE_OVERLAP else disjoint_mu_bar_2
+    one_way = case in (CASE_MO_EQUAL, CASE_MO_PROP)
+    return OneVsMaxReport(
+        case, mu_bar_1(pair, model, (x1, x2), **kw),
+        mu_bar_2(pair, model, (x1, x2), **kw),
+        network_cond_prob(case, pair, model, (x1, x2), t, **kw),
+        network_cond_prob(case, swap, model, (x2, x1), t, **kw),
+        network_g(case, model, pair),
+        network_covar(case, pair, model, gamma, upsilon, **kw),
+        None if one_way else network_covar(case, swap, model, gamma,
+                                           upsilon, **kw),
+        network_eci(case, model, pair))

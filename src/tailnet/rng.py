@@ -78,6 +78,20 @@ def row_chunks(n: int, row_width: int):
         yield lo, min(lo + step, n)
 
 
+def _run_blocks(n, seed, stream, draw, threads, block_size):
+    """Per-block results ``draw(generator, size)`` in block-index order."""
+    plan = list(blocks(n, block_size))
+
+    def work(item):
+        b, size = item
+        return draw(philox_stream(seed, stream, block=b), size)
+
+    if threads > 1 and len(plan) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, plan))
+    return [work(item) for item in plan]
+
+
 def sample_blocked(n, seed, stream, draw, threads=1, block_size=BLOCK_SIZE):
     """Assemble ``n`` draws from per-block calls ``draw(generator, size)``.
 
@@ -85,21 +99,7 @@ def sample_blocked(n, seed, stream, draw, threads=1, block_size=BLOCK_SIZE):
     Blocks are concatenated in index order, so the result is independent of
     ``threads``.
     """
-    plan = list(blocks(n, block_size))
-    out = [None] * len(plan)
-
-    def work(item):
-        b, size = item
-        return b, draw(philox_stream(seed, stream, block=b), size)
-
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for b, arr in pool.map(work, plan):
-                out[b] = arr
-    else:
-        for item in plan:
-            b, arr = work(item)
-            out[b] = arr
+    out = _run_blocks(n, seed, stream, draw, threads, block_size)
     if len(out) == 1:
         return out[0]
     return np.concatenate(out, axis=0)
@@ -112,22 +112,7 @@ def reduce_blocked(n, seed, stream, draw, combine, init, threads=1,
     Used for counting/summing over sample sizes too large to materialise;
     ``combine`` is applied in block-index order regardless of thread count.
     """
-    plan = list(blocks(n, block_size))
-    parts = [None] * len(plan)
-
-    def work(item):
-        b, size = item
-        return b, draw(philox_stream(seed, stream, block=b), size)
-
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for b, part in pool.map(work, plan):
-                parts[b] = part
-    else:
-        for item in plan:
-            b, part = work(item)
-            parts[b] = part
     acc = init
-    for part in parts:
+    for part in _run_blocks(n, seed, stream, draw, threads, block_size):
         acc = combine(acc, part)
     return acc

@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from tailnet.cli import main
 from tailnet.mrv import QpSolution
@@ -160,3 +162,26 @@ def test_qp_beyond_subset_cap(tmp_path, capsys):
     sol = QpSolution(tuple(i - 1 for i in doc["I"]), np.array(doc["e_star"]),
                      doc["gamma"], np.array(doc["h"]))
     assert_kkt(sigma, sol)
+
+
+def network_study_doc(network):
+    return {"margin": {"alpha": 1.0, "theta": 1.0},
+            "dependence": {"kind": "iid", "d": 2},
+            "network": network,
+            "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1,
+                      "target": "cond"}}
+
+
+@pytest.mark.parametrize("network", [
+    {"matrix": [[math.nan, 1.0], [0.0, 1.0]]},
+    {"matrix": [[math.inf, 1.0], [0.0, 1.0]]},
+    {"q": 2, "d": 2, "edge_prob": [[math.nan, 0.5], [0.5, 0.5]],
+     "weights": {"kind": "point", "lo": 1.0, "hi": 1.0}},
+    {"q": 2, "d": 2, "edge_prob": 0.5,
+     "weights": {"kind": "uniform", "lo": 0.5, "hi": math.inf}},
+])
+def test_non_finite_network_input_is_a_validation_error(tmp_path, capsys,
+                                                        network):
+    path = write(tmp_path, "bad.json", network_study_doc(network))
+    assert main(["network-study", "--scenario", path]) == 2
+    assert "validation error" in capsys.readouterr().err

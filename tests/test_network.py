@@ -442,3 +442,65 @@ class TestSampleLosses:
         x2 = sample_losses(net, model, 1000, seed=6, threads=3)
         assert x1.shape == (1000, 2)
         assert np.array_equal(x1, x2)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_adjacency_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ModelError):
+            tn.AdjacencyMatrix(np.array([[bad, 1.0], [0.0, 1.0]]))
+
+    def test_network_rejects_nan_edge_prob(self):
+        with pytest.raises(ModelError):
+            tn.BipartiteNetwork(2, 2, np.array([[math.nan, 0.5], [0.5, 0.5]]),
+                                tn.WeightSpec("point", 1.0, 1.0))
+
+    @pytest.mark.parametrize("kind, lo, hi", [("uniform", 0.5, math.inf),
+                                              ("point", math.inf, math.inf),
+                                              ("uniform", 0.5, math.nan)])
+    def test_weight_spec_rejects_non_finite_bounds(self, kind, lo, hi):
+        with pytest.raises(ModelError):
+            tn.WeightSpec(kind, lo, hi)
+
+
+class TestRowReduction:
+    def test_max_reduction_draws_row_maxima_of_the_base(self):
+        base = tn.BipartiteNetwork(3, 3, 0.5, tn.WeightSpec("uniform", 0.5, 1.5))
+        law = AggregatedNetwork(base, (0,), (1, 2), "max")
+        a = sample_adjacency_batch(base, seed=2, n=256)
+        got = sample_adjacency_batch(law, seed=2, n=256)
+        assert np.array_equal(got[:, 0], a[:, 0])
+        assert np.array_equal(got[:, 1], a[:, 1:].max(axis=1))
+
+    def test_unknown_reduction_rejected(self):
+        base = tn.BipartiteNetwork(2, 2, 0.5, tn.WeightSpec("point", 1.0, 1.0))
+        with pytest.raises(ModelError):
+            AggregatedNetwork(base, (0,), (1,), "min")
+
+
+class TestMomentDraws:
+    def test_one_base_draw_serves_a_law_and_its_reductions(self, monkeypatch):
+        import tailnet.network as nw
+        sizes = []
+        real = nw._draw_base
+
+        def counting(net, g, n):
+            sizes.append(n)
+            return real(net, g, n)
+
+        monkeypatch.setattr(nw, "_draw_base", counting)
+        base = tn.BipartiteNetwork(3, 2, 0.6, tn.WeightSpec("uniform", 0.5, 1.5))
+        tn.one_vs_max(base, tn.RiskModel.iid(2, 1.0), 0, (1.0, 1.0), t=10.0,
+                      gamma=0.01, upsilon=0.5, n_a=500, seed=7)
+        assert sizes == [500]
+
+    def test_shared_draws_are_read_only(self):
+        from tailnet.network import a_moment
+        net = tn.BipartiteNetwork(2, 2, 0.6, tn.WeightSpec("point", 1.0, 1.0))
+
+        def overwrite(a):
+            a[:] = 0.0
+            return a.sum(axis=(1, 2))
+
+        with pytest.raises(ValueError):
+            a_moment(net, overwrite, n_a=100, seed=1)
