@@ -12,14 +12,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import network as net
 from .copula import Gaussian, Iid, MarshallOlkin, sample
 from .covar import eci_analytic_model, eci_empirical
 from .errors import (DomainError, ModelError, ReliabilityError, ScenarioError,
                      TailnetError)
-from .harness import (covar_rows_to_csv, pair_law, rows_to_csv,
-                      run_covar_study, run_tail_study, study_to_json)
+from .harness import (covar_rows_to_csv, draw_losses, rows_to_csv,
+                      run_covar_study, run_tail_study, study_pair,
+                      study_to_json)
 from .mrv import mutual_ai_gaussian, pairwise_ai_gaussian, solve_qp
 from .scenario import Scenario, load_scenario
 
@@ -58,9 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _override_seed(scenario: Scenario, seed) -> Scenario:
     if seed is None or scenario.study is None:
         return scenario
-    from dataclasses import replace
-    return Scenario(scenario.model, scenario.network,
-                    replace(scenario.study, seed=seed), scenario.raw)
+    return replace(scenario, study=replace(scenario.study, seed=seed))
 
 
 def _emit(text: str, out) -> None:
@@ -116,30 +116,19 @@ def _cmd_check_ai(scenario: Scenario, args) -> str:
 
 
 def _cmd_eci(scenario: Scenario, args) -> str:
-    if scenario.network is not None:
-        law = pair_law(scenario)
-        case = net.resolve_case(law, scenario.model)
-        rep = net.network_eci(case, scenario.model, law)
-        doc = {"case": case, "eci": rep.eci, "beta": rep.beta,
-               "alpha1": rep.alpha1, "alpha2": rep.alpha2}
+    law, case = study_pair(scenario)
+    if law is None:
+        rep, case = eci_analytic_model(scenario.model), "bivariate"
     else:
-        rep = eci_analytic_model(scenario.model)
-        doc = {"case": "bivariate", "eci": rep.eci, "beta": rep.beta,
-               "alpha1": rep.alpha1, "alpha2": rep.alpha2}
-    if getattr(args, "empirical", False):
+        rep = net.network_eci(case, scenario.model, law)
+    doc = {"case": case, "eci": rep.eci, "beta": rep.beta,
+           "alpha1": rep.alpha1, "alpha2": rep.alpha2}
+    if args.empirical:
         if scenario.study is None:
             raise DomainError("empirical eci needs a study section")
-        study = scenario.study
-        if scenario.network is not None:
-            xs = net.sample_losses(pair_law(scenario), scenario.model,
-                                   study.mc_budget, study.seed,
-                                   threads=args.threads)
-            y1, y2 = xs[:, 0], xs[:, 1]
-        else:
-            z = sample(scenario.model, study.mc_budget, study.seed,
-                       threads=args.threads)
-            y1, y2 = z[:, 0], z[:, 1]
-        emp = eci_empirical(y1, y2, study.grid, study.upsilon)
+        xs = draw_losses(scenario, law, threads=args.threads)
+        emp = eci_empirical(xs[:, 0], xs[:, 1], scenario.study.grid,
+                            scenario.study.upsilon)
         doc["empirical"] = {"eci": emp.eci, "beta": emp.beta,
                             "band_factor": emp.band_factor,
                             "points": emp.n_points}
@@ -159,30 +148,17 @@ def _run(args) -> str:
         return _cmd_check_ai(scenario, args)
     if cmd == "eci":
         return _cmd_eci(scenario, args)
-    if cmd == "covar":
-        rows = run_covar_study(scenario, threads=args.threads)
-        if args.out and args.out.endswith(".json"):
-            return study_to_json(scenario, rows, "covar")
-        return covar_rows_to_csv(rows, scenario)
-    if cmd in ("tailprob", "network-study"):
-        if cmd == "network-study":
-            if scenario.network is None:
-                raise DomainError("network-study needs a network section")
-            if scenario.study is not None and scenario.study.target == "covar":
-                rows = run_covar_study(scenario, threads=args.threads)
-                kind = "network-covar"
-            else:
-                rows = run_tail_study(scenario, threads=args.threads)
-                kind = "network-tail"
-        else:
-            rows = run_tail_study(scenario, threads=args.threads)
-            kind = "tail"
-        if args.out and args.out.endswith(".json"):
-            return study_to_json(scenario, rows, kind)
-        if kind == "network-covar":
-            return covar_rows_to_csv(rows, scenario)
-        return rows_to_csv(rows)
-    raise DomainError(f"unknown command {cmd!r}")
+    network = cmd == "network-study"
+    if network and scenario.network is None:
+        raise DomainError("network-study needs a network section")
+    covar = cmd == "covar" or (network and scenario.study is not None
+                               and scenario.study.target == "covar")
+    rows = (run_covar_study if covar else run_tail_study)(
+        scenario, threads=args.threads)
+    if args.out and args.out.endswith(".json"):
+        kind = ("network-" if network else "") + ("covar" if covar else "tail")
+        return study_to_json(scenario, rows, kind)
+    return covar_rows_to_csv(rows, scenario) if covar else rows_to_csv(rows)
 
 
 def main(argv=None) -> int:

@@ -320,21 +320,6 @@ def covar_asymptotic_model(model: RiskModel, gamma: float, upsilon: float,
     return covar_asymptotic_gauss(a, th, rho, upsilon, gamma, spec), spec
 
 
-def bivariate_h_and_scale(model: RiskModel):
-    """The (h, b2_inv) pair of a bivariate model, consistently normalized."""
-    if model.d != 2:
-        raise DomainError("h-function construction is bivariate")
-    a, th = model.margin.alpha, model.margin.theta
-    dep = model.dependence
-    if isinstance(dep, Iid):
-        return h_independence(a), b2_inv_independence(a, th)
-    if isinstance(dep, MarshallOlkin):
-        v = dep.rates.variant
-        return h_mo(v, a), b2_inv_mo(v, a, th)
-    rho = float(dep.sigma.entries[0, 1])
-    return h_gaussian(rho, a), b2_inv_gaussian(rho, a, th)
-
-
 def gaussian_covar_exact(alpha: float, theta: float, rho: float,
                          gamma: float, level: float) -> float:
     """CoVaR from the exact bivariate law by root-finding (oracle).

@@ -68,12 +68,31 @@ def _thresholds(study, d: int) -> np.ndarray:
     return x
 
 
-def pair_law(scenario: Scenario):
+def study_pair(scenario: Scenario) -> tuple:
+    """``(law, case)`` of the agent pair a scenario studies: the two-row law
+    of X = A Z for the study's agents (agents 1 and 2 without a study) and
+    its asymptotic case, or ``(None, None)`` for a plain risk model."""
     law = scenario.network
+    if law is None:
+        return None, None
     agents = scenario.study.agents if scenario.study else (0, 1)
-    if net.law_shape(law)[0] == 2 and agents == (0, 1):
-        return law
-    return net.select_rows(law, *agents)
+    if net.law_shape(law)[0] != 2 or agents != (0, 1):
+        law = net.select_rows(law, *agents)
+    return law, net.resolve_case(law, scenario.model)
+
+
+def draw_losses(scenario: Scenario, law, z_stream: int = rng.STREAM_RISK,
+                a_stream: int = rng.STREAM_ADJACENCY,
+                threads: int = 1) -> np.ndarray:
+    """The study's ``mc_budget`` loss draws: the (n, 2) agent losses of the
+    pair law ``law``, or the (n, d) risk vectors when ``law`` is None."""
+    study = scenario.study
+    if law is None:
+        return sample(scenario.model, study.mc_budget, study.seed,
+                      threads=threads, stream=z_stream)
+    return net.sample_losses(law, scenario.model, study.mc_budget, study.seed,
+                             threads=threads, z_stream=z_stream,
+                             a_stream=a_stream)
 
 
 def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
@@ -92,40 +111,31 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     return gaussian_tail_asymptotic(dep.sigma, alpha, theta, rect, t)
 
 
-def _tail_point(scenario: Scenario, t: float, index: int) -> StudyRow:
-    study = scenario.study
+def _tail_point(scenario: Scenario, pair: tuple, t: float,
+                index: int) -> StudyRow:
+    study, model = scenario.study, scenario.model
+    law, case = pair
+    x = _thresholds(study, model.d if law is None else 2)
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    a_stream = z_stream + 1
-    if scenario.network is not None:
-        x = _thresholds(study, 2)
-        law = pair_law(scenario)
-        xs = net.sample_losses(law, scenario.model, study.mc_budget, study.seed,
-                               z_stream=z_stream, a_stream=a_stream)
-        joint = (xs[:, 0] > t * x[0]) & (xs[:, 1] > t * x[1])
-        hits = int(joint.sum())
-        case = net.resolve_case(law, scenario.model)
-        if study.target == "cond":
-            marg = xs[:, 1] > t * x[1]
-            m = int(marg.sum())
-            emp = joint.sum() / m if m else math.nan
-            se = _batch_stderr(joint.astype(float)) / max(marg.mean(), 1e-300)
-            asym = net.network_cond_prob(case, law, scenario.model,
-                                         (x[0], x[1]), t).value
-        else:
-            emp = float(joint.mean())
-            se = _batch_stderr(joint.astype(float))
-            mu2 = (net.mu_bar_2_overlap(law, scenario.model, (x[0], x[1]))
-                   if case == net.CASE_OVERLAP
-                   else net.disjoint_mu_bar_2(law, scenario.model, (x[0], x[1])))
-            asym = mu2.value / float(net.network_b2_inv(case, scenario.model, law)(t))
+    xs = draw_losses(scenario, law, z_stream, z_stream + 1)
+    joint = np.all(xs > t * x, axis=1)
+    hits = int(joint.sum())
+    emp = float(joint.mean())
+    se = _batch_stderr(joint.astype(float))
+    if study.target == "cond":
+        marg = xs[:, 1] > t * x[1]
+        m = int(marg.sum())
+        emp = hits / m if m else math.nan
+        se /= max(marg.mean(), 1e-300)
+    if law is None:
+        asym = _joint_tail_asymptotic_model(model, x, t)
+    elif study.target == "cond":
+        asym = net.network_cond_prob(case, law, model, x, t).value
     else:
-        x = _thresholds(study, scenario.model.d)
-        z = sample(scenario.model, study.mc_budget, study.seed, stream=z_stream)
-        joint = np.all(z > t * x[None, :], axis=1)
-        hits = int(joint.sum())
-        emp = float(joint.mean())
-        se = _batch_stderr(joint.astype(float))
-        asym = _joint_tail_asymptotic_model(scenario.model, x, t)
+        mu2 = (net.mu_bar_2_overlap(law, model, x)
+               if case == net.CASE_OVERLAP
+               else net.disjoint_mu_bar_2(law, model, x))
+        asym = mu2.value / float(net.network_b2_inv(case, model, law)(t))
     flag = "low-hits" if hits < MIN_HITS else ""
     return StudyRow(t, float(emp), se, float(asym), _ratio(emp, asym), flag)
 
@@ -141,53 +151,45 @@ def run_tail_study(scenario: Scenario, threads: int = 1) -> list:
 
 
 def _run_points(point_fn, scenario: Scenario, threads: int) -> list:
+    """``point_fn`` at every grid point, with the agent pair resolved once."""
+    pair = study_pair(scenario)
     points = list(enumerate(scenario.study.grid))
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda it: point_fn(scenario, it[1], it[0]),
-                                 points))
-    return [point_fn(scenario, gv, i) for i, gv in points]
+            return list(pool.map(
+                lambda it: point_fn(scenario, pair, it[1], it[0]), points))
+    return [point_fn(scenario, pair, gv, i) for i, gv in points]
 
 
-def study_level(scenario: Scenario, gamma: float) -> float:
+def _covar_level(scenario: Scenario, pair: tuple, gamma: float) -> float:
     """The CoVaR level upsilon * g(gamma) a covar study targets at gamma."""
-    study = scenario.study
-    if scenario.network is not None:
-        law = pair_law(scenario)
-        case = net.resolve_case(law, scenario.model)
-        g = net.network_g(case, scenario.model, law)
-    else:
+    study, (law, case) = scenario.study, pair
+    if law is None:
         _, g = covar_asymptotic_model(scenario.model, gamma, study.upsilon,
                                       beta=study.beta)
+    else:
+        g = net.network_g(case, scenario.model, law)
     return study.upsilon * g(gamma)
 
 
-def _covar_point(scenario: Scenario, gamma: float, index: int) -> StudyRow:
-    study = scenario.study
-    ups = study.upsilon
-    z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    a_stream = z_stream + 1
-    if scenario.network is not None:
-        law = pair_law(scenario)
-        case = net.resolve_case(law, scenario.model)
-        asym = net.network_covar(case, law, scenario.model, gamma, ups)
-        level = ups * asym.g(gamma)
-        xs = net.sample_losses(law, scenario.model, study.mc_budget, study.seed,
-                               z_stream=z_stream, a_stream=a_stream)
-        y1, y2 = xs[:, 0], xs[:, 1]
+def _covar_point(scenario: Scenario, pair: tuple, gamma: float,
+                 index: int) -> StudyRow:
+    study, (law, case) = scenario.study, pair
+    if law is None:
+        value, _ = covar_asymptotic_model(scenario.model, gamma,
+                                          study.upsilon, beta=study.beta)
+        branches = [("", value)]
+    else:
+        asym = net.network_covar(case, law, scenario.model, gamma,
+                                 study.upsilon)
         branches = [("", asym.low_upsilon.value)]
         if asym.high_upsilon is not None:
             branches = [("branch:low-upsilon", asym.low_upsilon.value),
                         ("branch:high-upsilon", asym.high_upsilon.value)]
-    else:
-        if scenario.model.d != 2:
-            raise DomainError("covar study needs a bivariate model or a network")
-        value, g = covar_asymptotic_model(scenario.model, gamma, ups,
-                                          beta=study.beta)
-        level = ups * g(gamma)
-        z = sample(scenario.model, study.mc_budget, study.seed, stream=z_stream)
-        y1, y2 = z[:, 0], z[:, 1]
-        branches = [("", value)]
+    level = _covar_level(scenario, pair, gamma)
+    z_stream = rng.STREAM_STUDY_BASE + 2 * index
+    xs = draw_losses(scenario, law, z_stream, z_stream + 1)
+    y1, y2 = xs[:, 0], xs[:, 1]
     try:
         emp = covar_empirical(y1, y2, level, gamma)
         flag = ""
@@ -232,6 +234,8 @@ def run_covar_study(scenario: Scenario, threads: int = 1) -> list:
     Monte Carlo estimate matches."""
     if scenario.study is None:
         raise DomainError("scenario has no study section")
+    if scenario.network is None and scenario.model.d != 2:
+        raise DomainError("covar study needs a bivariate model or a network")
     return _run_points(_covar_point, scenario, threads)
 
 
@@ -276,9 +280,10 @@ def rows_to_csv(rows) -> str:
 
 
 def covar_rows_to_csv(rows, scenario: Scenario) -> str:
+    pair = study_pair(scenario)
     out = ["gamma,level,empirical,stderr,asymptotic,ratio,flag"]
     for r in rows:
-        level = repr(float(study_level(scenario, r.grid_value)))
+        level = repr(float(_covar_level(scenario, pair, r.grid_value)))
         ratio = "" if r.ratio is None else repr(float(r.ratio))
         out.append(",".join([repr(float(r.grid_value)), level,
                              repr(float(r.empirical)), repr(float(r.stderr)),

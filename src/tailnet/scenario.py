@@ -2,19 +2,20 @@
 family, an optional network, and optional study parameters, so every run is
 reproducible from a single artifact.
 
-Validation errors carry the offending field path in the message.
+Validation errors name the offending field, or the section of a bad value.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .copula import CorrelationMatrix, RiskModel
-from .errors import ModelError, ScenarioError
+from .errors import ModelError, ScenarioError, TailnetError
 from .network import AdjacencyMatrix, BipartiteNetwork, WeightSpec
 
 
@@ -36,6 +37,17 @@ class Scenario:
     network: Optional[object]      # AdjacencyMatrix | BipartiteNetwork | None
     study: Optional[StudyParams]
     raw: dict = field(repr=False, default_factory=dict)
+
+
+@contextmanager
+def _section(path: str):
+    """Report a value of the wrong type or shape as a ScenarioError."""
+    try:
+        yield
+    except TailnetError:
+        raise
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ScenarioError(path, f"malformed value ({exc})") from exc
 
 
 def _need(doc: dict, key: str, path: str):
@@ -131,15 +143,15 @@ def _parse_study(study: dict) -> StudyParams:
     if target not in ("joint", "cond", "covar"):
         raise ScenarioError("study.target", f"unknown target {target!r}")
     upsilon = float(study.get("upsilon", 0.5))
-    if upsilon <= 0:
+    if not upsilon > 0:
         raise ScenarioError("study.upsilon", "must be > 0")
     beta = study.get("beta")
     if beta is not None:
         beta = float(beta)
-        if beta < 0:
+        if not beta >= 0:
             raise ScenarioError("study.beta", "must be >= 0")
     thresholds = tuple(float(v) for v in study.get("thresholds", [1.0]))
-    if any(v <= 0 for v in thresholds):
+    if any(not v > 0 for v in thresholds):
         raise ScenarioError("study.thresholds", "must be strictly positive")
     agents = tuple(int(a) - 1 for a in study.get("agents", [1, 2]))
     if len(agents) != 2 or agents[0] == agents[1] or min(agents) < 0:
@@ -151,16 +163,20 @@ def _parse_study(study: dict) -> StudyParams:
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario must be a JSON object")
-    margin = _need(doc, "margin", "")
-    alpha = _number(margin, "alpha", "margin", lo=0.0)
-    theta = _number(margin, "theta", "margin", lo=0.0)
-    model = _parse_dependence(_need(doc, "dependence", ""), alpha, theta)
+    with _section("margin"):
+        margin = _need(doc, "margin", "")
+        alpha = _number(margin, "alpha", "margin", lo=0.0)
+        theta = _number(margin, "theta", "margin", lo=0.0)
+    with _section("dependence"):
+        model = _parse_dependence(_need(doc, "dependence", ""), alpha, theta)
     network = None
     if doc.get("network") is not None:
-        network = _parse_network(doc["network"], model.d)
+        with _section("network"):
+            network = _parse_network(doc["network"], model.d)
     study = None
     if doc.get("study") is not None:
-        study = _parse_study(doc["study"])
+        with _section("study"):
+            study = _parse_study(doc["study"])
         if network is not None:
             q = network.q if isinstance(network, BipartiteNetwork) \
                 else network.entries.shape[0]

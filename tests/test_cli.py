@@ -185,3 +185,43 @@ def test_non_finite_network_input_is_a_validation_error(tmp_path, capsys,
     path = write(tmp_path, "bad.json", network_study_doc(network))
     assert main(["network-study", "--scenario", path]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def malformed(**over):
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "iid", "d": 2},
+           "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1}}
+    for section, fields in over.items():
+        doc[section] = fields if not isinstance(fields, dict) \
+            else dict(doc.get(section, {}), **fields)
+    return doc
+
+
+RANDOM_NETWORK = {"q": 2, "d": 2, "edge_prob": 0.5,
+                  "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (malformed(study={"agents": ["x", 2]}), "study"),
+    (malformed(study={"upsilon": "big"}), "study"),
+    (malformed(dependence={"kind": "gaussian", "sigma": [[1, "a"], [0, 1]]}),
+     "dependence"),
+    (malformed(network=dict(RANDOM_NETWORK,
+                            weights={"kind": "uniform", "lo": "x", "hi": 1.5})),
+     "network"),
+    (malformed(study={"thresholds": 5}), "study"),
+    (malformed(dependence={"kind": "mo", "d": 2, "mo_variant": "general",
+                           "rates": {"x": 1.0, "1,2": 0.5}}),
+     "dependence"),
+    (malformed(network={"matrix": [[1.0, "a"], [0.0, 1.0]]}), "network"),
+    (malformed(dependence={"kind": "iid", "d": math.inf}), "dependence"),
+    (malformed(dependence={"kind": "iid", "d": math.nan}), "dependence"),
+    (malformed(margin="alpha"), "margin"),
+])
+def test_malformed_scenario_value_is_a_validation_error(tmp_path, capsys,
+                                                         doc, field):
+    path = write(tmp_path, "bad.json", doc)
+    assert main(["tailprob", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {field}: ")
+    assert "Traceback" not in err

@@ -1,7 +1,11 @@
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailnet.copula import Gaussian, MarshallOlkin
-from tailnet.errors import ScenarioError
+from tailnet.errors import ScenarioError, TailnetError
 from tailnet.network import AdjacencyMatrix, BipartiteNetwork
 from tailnet.scenario import parse_scenario
 
@@ -80,3 +84,49 @@ def test_raw_echo_preserved():
     sc = parse_scenario(doc)
     assert sc.raw == doc
     assert sc.study.grid == (10.0, 100.0)
+
+
+VALID = [
+    {"margin": {"alpha": 1.0, "theta": 1.0},
+     "dependence": {"kind": "mo", "d": 2, "mo_variant": "general",
+                    "rates": {"1": 1.0, "2": 2.0, "1,2": 0.5}},
+     "network": {"q": 2, "d": 2, "edge_prob": [[0.5, 0.5], [0.5, 0.5]],
+                 "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+     "study": {"grid": [10.0, 100.0], "mc_budget": 10_000, "seed": 1,
+               "target": "joint", "upsilon": 0.5, "beta": 0.5,
+               "thresholds": [1.0, 2.0], "agents": [1, 2]}},
+    {"margin": {"alpha": 1.0, "theta": 1.0},
+     "dependence": {"kind": "gaussian", "sigma": [[1.0, 0.5], [0.5, 1.0]]},
+     "network": {"matrix": [[1.0, 0.0], [0.5, 1.0]]}},
+]
+
+
+def _field_paths(doc, prefix=()):
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _field_paths(val, prefix + (key,))
+
+
+FIELDS = [(i, path) for i, doc in enumerate(VALID) for path in _field_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+def test_parse_scenario_raises_only_tailnet_errors(field, value):
+    index, (*parents, key) = field
+    doc = copy.deepcopy(VALID[index])
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    try:
+        parse_scenario(doc)
+    except TailnetError:
+        pass
