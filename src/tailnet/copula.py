@@ -33,10 +33,10 @@ class ParetoMargin:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ModelError(f"alpha must be > 0, got {self.alpha}")
-        if not self.theta > 0:
-            raise ModelError(f"theta must be > 0, got {self.theta}")
+        if not 0 < self.alpha < math.inf:
+            raise ModelError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.theta < math.inf:
+            raise ModelError(f"theta must be finite and > 0, got {self.theta}")
 
     @property
     def support_floor(self) -> float:
@@ -239,9 +239,12 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
                         layout) -> np.ndarray:
     """One block of copula-level draws U with P(U_j < u_j for all j) = C_hat(u).
 
-    The Marshall-Olkin shocks are drawn in consecutive cache-sized row
-    chunks (:func:`rng.row_chunks`) and reduced while each chunk is in
-    cache.  RNG-order contract: the chunks consume ``g`` exactly as one
+    ``layout`` is what :func:`block_sampler` computes once: the Cholesky
+    factor of a Gaussian correlation matrix, the shock table of a
+    Marshall-Olkin model, None for independence.  The Marshall-Olkin
+    shocks are drawn in consecutive cache-sized row chunks
+    (:func:`rng.row_chunks`) and reduced while each chunk is in cache.
+    RNG-order contract: the chunks consume ``g`` exactly as one
     ``(size, 2^d - 1)`` draw does, and the per-coordinate minimum does not
     depend on the order it is taken in, so the block is bit-identical to the
     whole-block computation.
@@ -251,8 +254,7 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
     if isinstance(dep, Iid):
         return 1.0 - g.random((size, d))
     if isinstance(dep, Gaussian):
-        chol = np.linalg.cholesky(dep.sigma.entries)
-        y = g.standard_normal((size, d)) @ chol.T
+        y = g.standard_normal((size, d)) @ layout.T
         return np.clip(ndtr(-y), 1e-300, 1.0)
     lam, member, totals = layout
     unit = bool(np.all(lam == 1.0))     # x / 1.0 == x: skip the divide
@@ -268,28 +270,39 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
     return u
 
 
-def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
-           stream: int = rng.STREAM_RISK, mo_dim_cap: int = MO_DIM_CAP) -> np.ndarray:
-    """Draw an (n, d) matrix of the risk vector, exact Pareto margins.
-
-    Deterministic given (model, n, seed): draws are produced in fixed-size
-    counter blocks, so the result does not depend on ``threads``.
-    """
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    layout = None
-    if isinstance(model.dependence, MarshallOlkin):
+def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP):
+    """Per-block kernel ``draw(g, size)``: ``size`` risk vectors, exact Pareto
+    margins, from the block generator ``g``.  The layout is computed once
+    here, not once per block."""
+    dep, layout = model.dependence, None
+    if isinstance(dep, Gaussian):
+        layout = np.linalg.cholesky(dep.sigma.entries)
+    elif isinstance(dep, MarshallOlkin):
         if model.d > mo_dim_cap:
             raise CapacityError(
                 f"shock enumeration needs 2^d - 1 exponentials per draw; "
                 f"d = {model.d} exceeds the cap {mo_dim_cap}", mo_dim_cap)
-        layout = _mo_shock_layout(model.dependence.rates)
+        layout = _mo_shock_layout(dep.rates)
 
     def draw(g, size):
-        u = _draw_uniform_block(model, g, size, layout)
-        return model.margin.quantile_tail(u)
+        return model.margin.quantile_tail(
+            _draw_uniform_block(model, g, size, layout))
 
-    return rng.sample_blocked(n, seed, stream, draw, threads=threads)
+    return draw
+
+
+def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
+           stream: int = rng.STREAM_RISK, mo_dim_cap: int = MO_DIM_CAP) -> np.ndarray:
+    """Draw an (n, d) matrix of the risk vector, exact Pareto margins.
+
+    Deterministic given (model, n, seed): the :func:`block_sampler` blocks
+    are stacked in counter order, so the result does not depend on
+    ``threads``.
+    """
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    return rng.sample_blocked(n, seed, stream, block_sampler(model, mo_dim_cap),
+                              threads=threads)
 
 
 def survival_copula(model: RiskModel, u, return_error: bool = False):

@@ -68,26 +68,49 @@ class CovarQuery:
         return self.upsilon * self.g(self.gamma)
 
 
-def var_empirical(samples, gamma: float) -> float:
-    """k-th smallest sample with k = ceil(n(1-gamma)), clamped into [1, n]."""
+def _var_order(n: int, gamma: float) -> int:
+    """k = ceil(n(1-gamma)) clamped into [1, n]: the VaR's order statistic."""
+    return min(max(math.ceil(n * (1.0 - gamma)), 1), n)
+
+
+def var_top_count(n: int, gamma: float) -> int:
+    """How many of the largest of ``n`` samples hold their VaR at ``gamma``
+    and every sample above it: n - k + 1."""
+    return n - _var_order(n, gamma) + 1
+
+
+def var_empirical(samples, gamma: float, n: Optional[int] = None) -> float:
+    """k-th smallest sample with k = ceil(n(1-gamma)), clamped into [1, n].
+
+    With ``n``, ``samples`` are only the largest of ``n`` samples; at least
+    ``var_top_count(n, gamma)`` of them are needed."""
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
+    n = x.size if n is None else n
+    if n == 0:
         raise DomainError("empty sample")
     if not 0 < gamma < 1:
         raise DomainError("gamma must lie in (0, 1)")
-    k = min(max(math.ceil(x.size * (1.0 - gamma)), 1), x.size)
-    return float(np.partition(x, k - 1)[k - 1])
+    i = _var_order(n, gamma) - 1 - (n - x.size)
+    if not 0 <= i < x.size <= n:
+        raise DomainError(f"{x.size} top samples of {n} do not hold the VaR")
+    return float(np.partition(x, i)[i])
 
 
 def covar_empirical(y1, y2, gamma1: float, gamma2: float,
-                    min_exceed: int = MIN_EXCEEDANCES) -> float:
+                    min_exceed: int = MIN_EXCEEDANCES,
+                    n: Optional[int] = None) -> float:
     """Empirical CoVaR: VaR of y1 at gamma1 among pairs with y2 above its
-    empirical VaR at gamma2."""
+    empirical VaR at gamma2.
+
+    With ``n``, the pairs are only the rows of an ``n``-row sample with its
+    ``var_top_count(n, gamma2)`` (or more) largest y2 values, in any order:
+    they hold the VaR of y2 and every pair above it, so the result is that
+    of the whole sample from O(n gamma2) memory."""
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = np.asarray(y2, dtype=float).ravel()
     if y1.shape != y2.shape:
         raise DomainError("paired samples must have equal length")
-    v = var_empirical(y2, gamma2)
+    v = var_empirical(y2, gamma2, n)
     cond = y1[y2 > v]
     if cond.size < min_exceed:
         raise ReliabilityError(

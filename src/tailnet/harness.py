@@ -4,9 +4,14 @@ quadratic program.
 
 Reproducibility contract: a study is a pure function of its scenario.  Each grid
 point owns a derived stream (STREAM_STUDY_BASE + 2 * index for the risk
-vectors, + 2 * index + 1 for adjacency draws), samples are assembled in
+vectors, + 2 * index + 1 for adjacency draws), samples are drawn in
 fixed-size counter blocks, and rows are emitted in grid order, so the CSV
 bytes do not depend on the thread count.
+
+A point never holds its whole sample: it folds its statistics over the loss
+blocks in block order (:func:`_fold_point`), from per-block counts for tail
+probabilities and per-block top rows for CoVaR, and gets the same bytes as
+the statistics of the whole sample.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from scipy.optimize import minimize
 
 from . import network as net
 from . import rng
-from .copula import Iid, MarshallOlkin, RiskModel, sample
-from .covar import covar_asymptotic_model, covar_empirical
+from .copula import Iid, MarshallOlkin, RiskModel, block_sampler, sample
+from .covar import covar_asymptotic_model, covar_empirical, var_top_count
 from .errors import DomainError, ReliabilityError
 from .mrv import RectSet, gaussian_tail_asymptotic, mo_cone_spec, mo_mu
 from .scenario import Scenario
@@ -42,13 +47,27 @@ class StudyRow:
     flag: str = ""
 
 
-def _batch_stderr(hits: np.ndarray) -> float:
-    """Batch-means standard error of a hit vector over N_BATCHES batches."""
-    n = hits.size
+def _batch_cuts(lo: int, size: int, n: int):
+    """``(batch, start, stop)``: the pieces of rows ``[lo, lo + size)`` of an
+    ``n``-row sample in each of its N_BATCHES consecutive batches of
+    ``n // N_BATCHES`` rows, as offsets into the block.  Rows past the last
+    batch belong to none."""
     per = n // N_BATCHES
+    stop = min(lo + size, per * N_BATCHES)
+    row = lo
+    while row < stop:
+        batch = row // per
+        end = min((batch + 1) * per, stop)
+        yield batch, row - lo, end - lo
+        row = end
+
+
+def _batch_stderr(counts: np.ndarray, per: int) -> float:
+    """Batch-means standard error of a hit indicator from its hit counts in
+    N_BATCHES batches of ``per`` rows."""
     if per == 0:
         return float("nan")
-    means = hits[:per * N_BATCHES].reshape(N_BATCHES, per).mean(axis=1)
+    means = counts / per
     return float(means.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
@@ -81,11 +100,21 @@ def study_pair(scenario: Scenario) -> tuple:
     return law, net.resolve_case(law, scenario.model)
 
 
+def loss_blocks(scenario: Scenario, law, z_stream: int, a_stream: int):
+    """Per-block kernel ``(b, size)`` of the study's losses: block b of the
+    (n, 2) agent losses of the pair law ``law``, or of the (n, d) risk
+    vectors when ``law`` is None."""
+    seed = scenario.study.seed
+    if law is None:
+        return rng.seeded(seed, z_stream, block_sampler(scenario.model))
+    return net.loss_sampler(law, scenario.model, seed, z_stream, a_stream)
+
+
 def draw_losses(scenario: Scenario, law, z_stream: int = rng.STREAM_RISK,
                 a_stream: int = rng.STREAM_ADJACENCY,
                 threads: int = 1) -> np.ndarray:
-    """The study's ``mc_budget`` loss draws: the (n, 2) agent losses of the
-    pair law ``law``, or the (n, d) risk vectors when ``law`` is None."""
+    """The study's ``mc_budget`` loss draws at once: the
+    :func:`loss_blocks` blocks stacked."""
     study = scenario.study
     if law is None:
         return sample(scenario.model, study.mc_budget, study.seed,
@@ -111,22 +140,44 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     return gaussian_tail_asymptotic(dep.sigma, alpha, theta, rect, t)
 
 
-def _tail_point(scenario: Scenario, pair: tuple, t: float,
-                index: int) -> StudyRow:
+def _fold_point(scenario: Scenario, law, index: int, stats, combine, init,
+                threads: int):
+    """Fold ``stats(lo, losses)`` of grid point ``index``'s loss blocks (rows
+    ``lo`` onwards of its sample) in block order."""
+    z_stream = rng.STREAM_STUDY_BASE + 2 * index
+    draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
+    return rng.fold_blocks(
+        scenario.study.mc_budget,
+        lambda b, size: stats(b * rng.BLOCK_SIZE, draw(b, size)),
+        combine, init, threads=threads, block_size=rng.BLOCK_SIZE)
+
+
+def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
+                threads: int = 1) -> StudyRow:
     study, model = scenario.study, scenario.model
     law, case = pair
     x = _thresholds(study, model.d if law is None else 2)
-    z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    xs = draw_losses(scenario, law, z_stream, z_stream + 1)
-    joint = np.all(xs > t * x, axis=1)
-    hits = int(joint.sum())
-    emp = float(joint.mean())
-    se = _batch_stderr(joint.astype(float))
+    n, cut = study.mc_budget, t * x
+
+    def counts(lo, xs):
+        """[joint hits, marginal hits, joint hits per batch]"""
+        joint = np.all(xs > cut, axis=1)
+        out = np.zeros(2 + N_BATCHES, dtype=np.int64)
+        out[0] = np.count_nonzero(joint)
+        if study.target == "cond":
+            out[1] = np.count_nonzero(xs[:, 1] > cut[1])
+        for batch, start, stop in _batch_cuts(lo, len(xs), n):
+            out[2 + batch] = np.count_nonzero(joint[start:stop])
+        return out
+
+    total = _fold_point(scenario, law, index, counts, np.add,
+                        np.zeros(2 + N_BATCHES, dtype=np.int64), threads)
+    hits, m = int(total[0]), int(total[1])
+    emp = hits / n
+    se = _batch_stderr(total[2:], n // N_BATCHES)
     if study.target == "cond":
-        marg = xs[:, 1] > t * x[1]
-        m = int(marg.sum())
         emp = hits / m if m else math.nan
-        se /= max(marg.mean(), 1e-300)
+        se /= max(m / n, 1e-300)
     if law is None:
         asym = _joint_tail_asymptotic_model(model, x, t)
     elif study.target == "cond":
@@ -151,14 +202,18 @@ def run_tail_study(scenario: Scenario, threads: int = 1) -> list:
 
 
 def _run_points(point_fn, scenario: Scenario, threads: int) -> list:
-    """``point_fn`` at every grid point, with the agent pair resolved once."""
+    """``point_fn`` at every grid point, with the agent pair resolved once.
+    Points run in parallel; the threads left over (a grid shorter than
+    ``threads``) go to each point's block fold."""
     pair = study_pair(scenario)
     points = list(enumerate(scenario.study.grid))
+    block_threads = max(1, threads // len(points))
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(
-                lambda it: point_fn(scenario, pair, it[1], it[0]), points))
-    return [point_fn(scenario, pair, gv, i) for i, gv in points]
+                lambda it: point_fn(scenario, pair, it[1], it[0],
+                                    block_threads), points))
+    return [point_fn(scenario, pair, gv, i, block_threads) for i, gv in points]
 
 
 def _covar_level(scenario: Scenario, pair: tuple, gamma: float) -> float:
@@ -172,8 +227,22 @@ def _covar_level(scenario: Scenario, pair: tuple, gamma: float) -> float:
     return study.upsilon * g(gamma)
 
 
-def _covar_point(scenario: Scenario, pair: tuple, gamma: float,
-                 index: int) -> StudyRow:
+def _top_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` rows of ``rows`` with the largest column-1 (y2) values,
+    ties cut anywhere, in any order; all rows when there are fewer."""
+    cut = len(rows) - k
+    if cut <= 0:
+        return rows
+    return rows[np.argpartition(rows[:, 1], cut)[cut:]]
+
+
+def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
+                 threads: int = 1) -> StudyRow:
+    """Empirical CoVaR of the point's sample and of each of its batches,
+    from the rows with the largest y2 values: the ``var_top_count`` of the
+    sample and of each batch, merged over the blocks.  They hold the
+    conditioning VaR and every row above it, so the result equals the
+    whole-sample computation, with memory O(n gamma) for the kept rows."""
     study, (law, case) = scenario.study, pair
     if law is None:
         value, _ = covar_asymptotic_model(scenario.model, gamma,
@@ -187,15 +256,32 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float,
             branches = [("branch:low-upsilon", asym.low_upsilon.value),
                         ("branch:high-upsilon", asym.high_upsilon.value)]
     level = _covar_level(scenario, pair, gamma)
-    z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    xs = draw_losses(scenario, law, z_stream, z_stream + 1)
-    y1, y2 = xs[:, 0], xs[:, 1]
+    n = study.mc_budget
+    per = n // N_BATCHES
+    k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
+
+    def tops(lo, xs):
+        return (_top_rows(xs, k_all),
+                [(batch, _top_rows(xs[start:stop], k_batch))
+                 for batch, start, stop in _batch_cuts(lo, len(xs), n)])
+
+    def merge(acc, part):
+        kept, batches = acc
+        kept = _top_rows(np.concatenate([kept, part[0]]), k_all)
+        for batch, rows in part[1]:
+            batches[batch] = _top_rows(
+                np.concatenate([batches[batch], rows]), k_batch)
+        return kept, batches
+
+    empty = np.empty((0, 2))
+    kept, batches = _fold_point(scenario, law, index, tops, merge,
+                                (empty, [empty] * N_BATCHES), threads)
     try:
-        emp = covar_empirical(y1, y2, level, gamma)
+        emp = covar_empirical(kept[:, 0], kept[:, 1], level, gamma, n=n)
         flag = ""
     except ReliabilityError as exc:
         emp, flag = math.nan, f"low-hits:{exc.count}"
-    se = _covar_batch_stderr(y1, y2, level, gamma)
+    se = _covar_batch_stderr(batches, per, level, gamma)
     if len(branches) > 1 and math.isfinite(emp) and emp > 0:
         dists = sorted((abs(math.log(emp / val)), tag, val)
                        for tag, val in branches)
@@ -212,14 +298,13 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float,
     return StudyRow(gamma, emp, se, asym_val, _ratio(emp, asym_val), flag)
 
 
-def _covar_batch_stderr(y1, y2, level, gamma) -> float:
-    per = y1.size // N_BATCHES
+def _covar_batch_stderr(batches, per, level, gamma) -> float:
+    """Batch-means standard error from each batch's kept top rows."""
     vals = []
-    for b in range(N_BATCHES):
-        sl = slice(b * per, (b + 1) * per)
+    for rows in batches:
         try:
-            vals.append(covar_empirical(y1[sl], y2[sl], level, gamma,
-                                        min_exceed=2))
+            vals.append(covar_empirical(rows[:, 0], rows[:, 1], level, gamma,
+                                        min_exceed=2, n=per))
         except (ReliabilityError, DomainError):
             continue
     if len(vals) < 2:

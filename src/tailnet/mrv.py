@@ -27,8 +27,8 @@ from scipy.optimize import nnls
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
-                     MarshallOlkin, RiskModel, _draw_uniform_block,
-                     _mixture_block, survival_copula)
+                     MarshallOlkin, RiskModel, _mixture_block,
+                     block_sampler, survival_copula)
 from .errors import CapacityError, DegenerateQpError, DomainError, ModelError
 from .orthant import normal_orthant_survival
 
@@ -435,10 +435,10 @@ def empirical_ai_ratio(model, subset, ell: int, u_grid: Sequence[float],
     if isinstance(model, RiskModel):
         thresholds = [float(model.margin.quantile_tail(u)) for u in u_grid]
         stream = rng.STREAM_RISK
+        draw_z = block_sampler(model)
 
         def draw(g, size):
-            z = model.margin.quantile_tail(_draw_uniform_block(model, g, size, None))
-            return _count_hits(z, s, reduced, thresholds)
+            return _count_hits(draw_z(g, size), s, reduced, thresholds)
     elif isinstance(model, BernsteinMixture):
         thresholds = [model.tail_threshold(u) for u in u_grid]
         stream = rng.STREAM_MIXTURE

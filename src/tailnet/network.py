@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+import threading
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Union
@@ -25,7 +26,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .copula import Gaussian, Iid, MarshallOlkin, RiskModel, sample
+# ``sample`` stays importable here: bench/tracing.py wraps network.sample
+from .copula import (Gaussian, Iid, MarshallOlkin, RiskModel,  # noqa: F401
+                     block_sampler, sample)
 from .covar import EciReport, GSpec, gauss_level_function
 from .errors import DispatchError, DomainError, ModelError
 from .mrv import PowerLog
@@ -222,20 +225,35 @@ def sample_adjacency_batch(law: ALaw, seed: int, n: int) -> np.ndarray:
     return _draw_law(law, rng.philox_stream(seed, rng.STREAM_ADJACENCY), n)
 
 
-def sample_losses(law: ALaw, model: RiskModel, n: int, seed: int,
-                  threads: int = 1, z_stream: int = rng.STREAM_RISK,
-                  a_stream: int = rng.STREAM_ADJACENCY) -> np.ndarray:
-    """(n, q) draws of X = A Z; fresh (A, Z) per draw when A is random."""
+def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
+                 a_stream: int):
+    """Per-block kernel ``(b, size) -> (size, q)`` draws of X = A Z: block b
+    of the z stream, times block b of the a stream when A is random (a fresh
+    (A, Z) per draw).  Per-block matmul and einsum return the same bytes as
+    over the whole sample."""
     q, d = law_shape(law)
     if d != model.d:
         raise ModelError("network object count must match model dimension")
-    z = sample(model, n, seed, threads=threads, stream=z_stream)
+    draw_z = rng.seeded(seed, z_stream, block_sampler(model))
     if is_deterministic(law):
-        return z @ law_matrix(law).T
-    a = rng.sample_blocked(n, seed, a_stream,
-                           lambda g, size: _draw_law(law, g, size),
-                           threads=threads)
-    return np.einsum("nqd,nd->nq", a, z)
+        m_t = law_matrix(law).T
+        return lambda b, size: draw_z(b, size) @ m_t
+
+    def draw(b, size):
+        a = _draw_law(law, rng.philox_stream(seed, a_stream, block=b), size)
+        return np.einsum("nqd,nd->nq", a, draw_z(b, size))
+
+    return draw
+
+
+def sample_losses(law: ALaw, model: RiskModel, n: int, seed: int,
+                  threads: int = 1, z_stream: int = rng.STREAM_RISK,
+                  a_stream: int = rng.STREAM_ADJACENCY) -> np.ndarray:
+    """(n, q) draws of X = A Z: the :func:`loss_sampler` blocks stacked."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    return rng.concat_blocks(
+        n, loss_sampler(law, model, seed, z_stream, a_stream), threads)
 
 
 def cover_index(law: ALaw, k: int) -> int:
@@ -327,6 +345,10 @@ class MomentEstimate:
         return MomentEstimate(val, se)
 
 
+# held around memo lookups, so that concurrent study points draw a law once
+_MOMENT_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=4)
 def _moment_draws(law: ALaw, seed: int, n_a: int) -> np.ndarray:
     """The ``n_a`` draws of a random law behind its moments at ``seed``,
@@ -346,7 +368,8 @@ def a_moment(law: ALaw, fn, n_a: int = ADJ_MC_DRAWS, seed: int = 0) -> MomentEst
     if is_deterministic(law):
         val = fn(law_matrix(law)[None, :, :])
         return MomentEstimate(float(np.asarray(val).ravel()[0]), 0.0)
-    a = _moment_draws(law, seed, n_a)
+    with _MOMENT_LOCK:      # not re-entered: the base recursion is inside
+        a = _moment_draws(law, seed, n_a)
     vals = np.asarray(fn(a), dtype=float)
     return MomentEstimate(float(vals.mean()),
                           float(vals.std(ddof=1) / math.sqrt(n_a)))

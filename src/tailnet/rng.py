@@ -10,7 +10,8 @@ Large sample jobs are split into fixed-size blocks.  Block ``b`` of a stream
 reads from counter ``[0, 0, b, 0]``, i.e. blocks own disjoint 2^128-step
 counter ranges.  Because the block layout depends only on the requested
 sample size (never on the worker count), a job parallelised over blocks
-returns the same bytes for any number of threads.
+returns the same bytes for any number of threads, and the block runners
+default to every core.
 
 Stream ids used by the package (all under one user-facing seed):
 
@@ -26,11 +27,14 @@ Stream ids used by the package (all under one user-facing seed):
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 BLOCK_SIZE = 1 << 20
+DEFAULT_THREADS = os.cpu_count() or 1
 # Bytes of float64 per sampler chunk: small enough to stay in a core's cache.
 _CHUNK_BYTES = 1 << 20
 
@@ -78,41 +82,72 @@ def row_chunks(n: int, row_width: int):
         yield lo, min(lo + step, n)
 
 
-def _run_blocks(n, seed, stream, draw, threads, block_size):
-    """Per-block results ``draw(generator, size)`` in block-index order."""
-    plan = list(blocks(n, block_size))
-
-    def work(item):
-        b, size = item
-        return draw(philox_stream(seed, stream, block=b), size)
-
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, plan))
-    return [work(item) for item in plan]
+def seeded(seed: int, stream: int, draw):
+    """Block kernel ``(b, size) -> draw(generator of block b, size)`` on the
+    ``(seed, stream)`` stream."""
+    return lambda b, size: draw(philox_stream(seed, stream, block=b), size)
 
 
-def sample_blocked(n, seed, stream, draw, threads=1, block_size=BLOCK_SIZE):
+def fold_blocks(n, work, combine, init, threads=DEFAULT_THREADS,
+                block_size=BLOCK_SIZE):
+    """Fold ``acc = combine(acc, work(b, size))`` over the blocks of ``n``
+    draws in block-index order.
+
+    The one block-execution primitive.  At most ``threads`` blocks are in
+    flight (submitted and not yet folded), so memory stays O(threads
+    blocks) for any ``n``, and the fold order does not depend on
+    ``threads``.
+    """
+    acc = init
+    plan = blocks(n, block_size)
+    if threads <= 1 or n <= block_size:
+        for b, size in plan:
+            acc = combine(acc, work(b, size))
+        return acc
+    window = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for b, size in plan:
+            window.append(pool.submit(work, b, size))
+            if len(window) == threads:
+                acc = combine(acc, window.popleft().result())
+        while window:
+            acc = combine(acc, window.popleft().result())
+    return acc
+
+
+def concat_blocks(n, work, threads=DEFAULT_THREADS, block_size=BLOCK_SIZE):
+    """The arrays ``work(b, size)`` stacked along their leading axis in block
+    order.  Each block is copied into the ``n``-row result as it is folded,
+    so no list of blocks is held next to the result."""
+    def put(acc, part):
+        out, lo = acc
+        if out is None:
+            if len(part) == n:
+                return part, n
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+        out[lo:lo + len(part)] = part
+        return out, lo + len(part)
+
+    return fold_blocks(n, work, put, (None, 0), threads, block_size)[0]
+
+
+def sample_blocked(n, seed, stream, draw, threads=DEFAULT_THREADS,
+                   block_size=BLOCK_SIZE):
     """Assemble ``n`` draws from per-block calls ``draw(generator, size)``.
 
     ``draw`` must return an array whose leading axis has length ``size``.
-    Blocks are concatenated in index order, so the result is independent of
+    Blocks are stacked in index order, so the result is independent of
     ``threads``.
     """
-    out = _run_blocks(n, seed, stream, draw, threads, block_size)
-    if len(out) == 1:
-        return out[0]
-    return np.concatenate(out, axis=0)
+    return concat_blocks(n, seeded(seed, stream, draw), threads, block_size)
 
 
-def reduce_blocked(n, seed, stream, draw, combine, init, threads=1,
-                   block_size=BLOCK_SIZE):
+def reduce_blocked(n, seed, stream, draw, combine, init,
+                   threads=DEFAULT_THREADS, block_size=BLOCK_SIZE):
     """Fold per-block results ``draw(generator, size)`` in fixed block order.
 
     Used for counting/summing over sample sizes too large to materialise;
     ``combine`` is applied in block-index order regardless of thread count.
     """
-    acc = init
-    for part in _run_blocks(n, seed, stream, draw, threads, block_size):
-        acc = combine(acc, part)
-    return acc
+    return fold_blocks(n, seeded(seed, stream, draw), combine, init, threads,
+                       block_size)

@@ -225,3 +225,15 @@ def test_malformed_scenario_value_is_a_validation_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {field}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["alpha", "theta"])
+def test_infinite_margin_value_is_a_validation_error(tmp_path, capsys, field):
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0, field: math.inf},
+           "dependence": {"kind": "iid", "d": 2},
+           "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1}}
+    path = write(tmp_path, "inf.json", doc)
+    assert main(["tailprob", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and field in err
+    assert "Traceback" not in err

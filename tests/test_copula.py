@@ -243,3 +243,10 @@ class TestBernsteinMixture:
         a = tn.bernstein_mixture_sample(10_000, seed=3)
         b = tn.bernstein_mixture_sample(10_000, seed=3, threads=2)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha,theta", [(math.inf, 1.0), (1.0, math.inf),
+                                         (math.nan, 1.0), (1.0, math.nan)])
+def test_pareto_margin_rejects_non_finite_parameters(alpha, theta):
+    with pytest.raises(ModelError, match="finite"):
+        tn.ParetoMargin(alpha, theta)

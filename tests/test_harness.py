@@ -168,3 +168,14 @@ def test_random_law_moments_are_drawn_once_per_study():
     tn.network._moment_draws.cache_clear()
     run_tail_study(sc, threads=1)
     assert tn.network._moment_draws.cache_info().misses == 1
+
+
+def test_random_law_moments_are_drawn_once_at_two_threads():
+    # concurrent points wait for the first draw instead of drawing again
+    law = {"q": 3, "d": 3, "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
+           "edge_prob": [[0.6, 0.5, 0.0], [0.0, 0.5, 0.6], [0.4, 0.0, 0.7]]}
+    sc = scenario_doc({"kind": "iid", "d": 3}, [10.0, 20.0, 50.0, 100.0],
+                      budget=10_000, network=law, target="cond", agents=[1, 2])
+    tn.network._moment_draws.cache_clear()
+    run_tail_study(sc, threads=2)
+    assert tn.network._moment_draws.cache_info().misses == 1

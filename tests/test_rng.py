@@ -50,3 +50,52 @@ def test_consecutive_row_draws_equal_one_draw(method):
     g = rng.philox_stream(5, 0, block=2)
     parts = np.concatenate([getattr(g, method)((m, k)) for m in rows])
     assert parts.tobytes() == whole.tobytes()
+
+
+def test_fold_blocks_folds_in_order_with_a_bounded_window():
+    import threading
+    import time
+
+    lock = threading.Lock()
+    state = {"started": 0, "folded": 0, "most": 0}
+
+    def work(b, size):
+        with lock:
+            state["started"] += 1
+            state["most"] = max(state["most"],
+                                state["started"] - state["folded"])
+        time.sleep(0.001 * ((7 * b) % 5))       # finish out of order
+        return b, size
+
+    def combine(acc, part):
+        state["folded"] += 1
+        return acc + [part]
+
+    n, size = 40 * 1000 + 17, 1000
+    for threads in (1, 3):
+        state.update(started=0, folded=0, most=0)
+        got = rng.fold_blocks(n, work, combine, [], threads=threads,
+                              block_size=size)
+        assert got == list(rng.blocks(n, size))
+        assert state["most"] <= threads
+
+
+def test_concat_blocks_equals_concatenation():
+    def work(b, size):
+        return np.full((size, 2), float(b))
+
+    n = 5 * 64 + 3
+    want = np.concatenate([work(b, s) for b, s in rng.blocks(n, 64)])
+    for threads in (1, 2):
+        got = rng.concat_blocks(n, work, threads=threads, block_size=64)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_runners_default_to_every_core():
+    import inspect
+    import os
+
+    for fn in (rng.fold_blocks, rng.concat_blocks, rng.sample_blocked,
+               rng.reduce_blocked):
+        default = inspect.signature(fn).parameters["threads"].default
+        assert default == (os.cpu_count() or 1)
