@@ -27,7 +27,9 @@ from scipy.optimize import minimize
 
 from . import network as net
 from . import rng
-from .copula import Iid, MarshallOlkin, RiskModel, block_sampler, sample
+# ``sample`` stays importable here: bench/tracing.py wraps harness.sample
+from .copula import (Iid, MarshallOlkin, RiskModel, block_sampler,  # noqa: F401
+                     sample)
 from .covar import covar_asymptotic_model, covar_empirical, var_top_count
 from .errors import DomainError, ReliabilityError
 from .mrv import RectSet, gaussian_tail_asymptotic, mo_cone_spec, mo_mu
@@ -115,13 +117,9 @@ def draw_losses(scenario: Scenario, law, z_stream: int = rng.STREAM_RISK,
                 threads: int = 1) -> np.ndarray:
     """The study's ``mc_budget`` loss draws at once: the
     :func:`loss_blocks` blocks stacked."""
-    study = scenario.study
-    if law is None:
-        return sample(scenario.model, study.mc_budget, study.seed,
-                      threads=threads, stream=z_stream)
-    return net.sample_losses(law, scenario.model, study.mc_budget, study.seed,
-                             threads=threads, z_stream=z_stream,
-                             a_stream=a_stream)
+    return rng.concat_blocks(scenario.study.mc_budget,
+                             loss_blocks(scenario, law, z_stream, a_stream),
+                             threads)
 
 
 def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
@@ -236,6 +234,53 @@ def _top_rows(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[np.argpartition(rows[:, 1], cut)[cut:]]
 
 
+class _TopRows:
+    """The rows with the ``k`` largest y2 values among the rows added so far
+    from an ``n``-row sample, held as (y1, y2) columns.
+
+    Rows are buffered up to 2k (or n) and cut back to the top k when the
+    buffer is full, so n rows cost O(n) time in all and the buffer O(k)
+    memory.  After a cut, a row whose y2 is at or below the smallest kept
+    y2 can only tie with the final smallest value, whose rows CoVaR does not
+    use (it conditions on y2 strictly above it), so such rows are dropped
+    on arrival.  Added parts hold at most k rows.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n, self.cap = k, n, min(2 * k, n)
+        self.y1 = self.y2 = None
+        self.size, self.floor = 0, -math.inf
+
+    def add(self, rows: np.ndarray) -> None:
+        if self.y1 is None:
+            self.y1, self.y2 = np.empty(self.cap), np.empty(self.cap)
+        elif self.floor > -math.inf:
+            rows = rows[rows[:, 1] > self.floor]
+        if self.size + len(rows) > self.cap:
+            cut = self.size - self.k
+            keep = np.argpartition(self.y2[:self.size], cut)[cut:]
+            for col in (self.y1, self.y2):
+                col[:self.k] = col[keep]
+            self.size = self.k
+            self.floor = float(self.y2[:self.k].min())
+        stop = self.size + len(rows)
+        self.y1[self.size:stop], self.y2[self.size:stop] = rows[:, 0], rows[:, 1]
+        self.size = stop
+
+    def columns(self) -> tuple:
+        """(y1, y2) of the whole sample when every row was kept; else of the
+        kept rows with y2 at or above the k-th largest (the top k and the
+        rows tied with the smallest of them)."""
+        if self.y1 is None:
+            return np.empty(0), np.empty(0)
+        y1, y2 = self.y1[:self.size], self.y2[:self.size]
+        cut = self.size - self.k
+        if cut <= 0 or self.size == self.n:
+            return y1, y2
+        top = y2 >= np.partition(y2, cut)[cut]
+        return y1[top], y2[top]
+
+
 def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
                  threads: int = 1) -> StudyRow:
     """Empirical CoVaR of the point's sample and of each of its batches,
@@ -260,27 +305,39 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
     per = n // N_BATCHES
     k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
 
+    # from gamma ~ 1/2 on, the kept rows are the whole sample in row order,
+    # and the batches are its slices
+    whole = 2 * k_all >= n
+
     def tops(lo, xs):
+        if whole:
+            return xs, []
         return (_top_rows(xs, k_all),
                 [(batch, _top_rows(xs[start:stop], k_batch))
                  for batch, start, stop in _batch_cuts(lo, len(xs), n)])
 
     def merge(acc, part):
         kept, batches = acc
-        kept = _top_rows(np.concatenate([kept, part[0]]), k_all)
+        kept.add(part[0])
         for batch, rows in part[1]:
-            batches[batch] = _top_rows(
-                np.concatenate([batches[batch], rows]), k_batch)
-        return kept, batches
+            batches[batch].add(rows)
+        return acc
 
-    empty = np.empty((0, 2))
-    kept, batches = _fold_point(scenario, law, index, tops, merge,
-                                (empty, [empty] * N_BATCHES), threads)
+    kept, batches = _fold_point(
+        scenario, law, index, tops, merge,
+        (_TopRows(k_all, n), [_TopRows(k_batch, per) for _ in range(N_BATCHES)]),
+        threads)
+    y1, y2 = kept.columns()
     try:
-        emp = covar_empirical(kept[:, 0], kept[:, 1], level, gamma, n=n)
+        emp = covar_empirical(y1, y2, level, gamma, n=n)
         flag = ""
     except ReliabilityError as exc:
         emp, flag = math.nan, f"low-hits:{exc.count}"
+    if whole:
+        batches = [(y1[b * per:(b + 1) * per], y2[b * per:(b + 1) * per])
+                   for b in range(N_BATCHES)]
+    else:
+        batches = [rows.columns() for rows in batches]
     se = _covar_batch_stderr(batches, per, level, gamma)
     if len(branches) > 1 and math.isfinite(emp) and emp > 0:
         dists = sorted((abs(math.log(emp / val)), tag, val)
@@ -299,11 +356,11 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
 
 
 def _covar_batch_stderr(batches, per, level, gamma) -> float:
-    """Batch-means standard error from each batch's kept top rows."""
+    """Batch-means standard error from each batch's (y1, y2) top rows."""
     vals = []
-    for rows in batches:
+    for y1, y2 in batches:
         try:
-            vals.append(covar_empirical(rows[:, 0], rows[:, 1], level, gamma,
+            vals.append(covar_empirical(y1, y2, level, gamma,
                                         min_exceed=2, n=per))
         except (ReliabilityError, DomainError):
             continue

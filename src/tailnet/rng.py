@@ -11,7 +11,8 @@ reads from counter ``[0, 0, b, 0]``, i.e. blocks own disjoint 2^128-step
 counter ranges.  Because the block layout depends only on the requested
 sample size (never on the worker count), a job parallelised over blocks
 returns the same bytes for any number of threads, and the block runners
-default to every core.
+default to the cores this process may run on, at most
+``MAX_DEFAULT_THREADS`` of them (each block in flight holds its draws).
 
 Stream ids used by the package (all under one user-facing seed):
 
@@ -34,7 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 BLOCK_SIZE = 1 << 20
-DEFAULT_THREADS = os.cpu_count() or 1
+# Default cap on blocks in flight: memory grows with it, speed stops growing.
+MAX_DEFAULT_THREADS = 4
 # Bytes of float64 per sampler chunk: small enough to stay in a core's cache.
 _CHUNK_BYTES = 1 << 20
 
@@ -44,6 +46,16 @@ STREAM_ADJACENCY = 2
 STREAM_A_MOMENTS = 3
 STREAM_ORTHANT = 4
 STREAM_STUDY_BASE = 32
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+DEFAULT_THREADS = max(1, min(_usable_cores(), MAX_DEFAULT_THREADS))
 
 
 def philox_stream(seed: int, stream: int, block: int = 0) -> np.random.Generator:

@@ -91,11 +91,14 @@ def test_concat_blocks_equals_concatenation():
         assert got.tobytes() == want.tobytes()
 
 
-def test_block_runners_default_to_every_core():
+def test_block_runners_default_to_usable_cores_capped():
     import inspect
     import os
 
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    assert rng.DEFAULT_THREADS == min(cores, rng.MAX_DEFAULT_THREADS)
     for fn in (rng.fold_blocks, rng.concat_blocks, rng.sample_blocked,
                rng.reduce_blocked):
         default = inspect.signature(fn).parameters["threads"].default
-        assert default == (os.cpu_count() or 1)
+        assert default == rng.DEFAULT_THREADS

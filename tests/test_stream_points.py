@@ -43,6 +43,9 @@ CASES = {
                               "tail"),
     "gauss-covar-multiblock": (scenario(GAUSS2, MULTI,
                                         dict(COVAR, grid=COVAR_GRID)), "covar"),
+    # K ~ 1.3e6 rows: more than a block, and the kept rows are cut back once
+    "gauss-covar-cut": (scenario(GAUSS2, 4 * B + 4321,
+                                 dict(COVAR, grid=[0.3])), "covar"),
     "gauss-tail-tiny": (scenario(GAUSS2, 20, {"grid": [1.2, 3.0]}), "tail"),
     "gauss-covar-tiny": (scenario(GAUSS2, 20, dict(COVAR, grid=[0.3])),
                          "covar"),
@@ -102,6 +105,26 @@ def test_streamed_rows_equal_materialised_rows_with_ties(monkeypatch, kind):
         for threads in (1, 2):
             got = row_bytes(streamed(sc, pair, value, index, threads))
             assert got == want, (value, threads)
+
+
+@pytest.mark.parametrize("k", [1, 7, 50, 130, 299])
+def test_top_rows_fold_keeps_the_top_k_and_every_row_above_them(k):
+    g = np.random.default_rng(5)
+    # y2 rounded to 0.1: ties at every cut
+    rows = np.column_stack([g.random(300), np.round(g.random(300), 1)])
+    top = harness._TopRows(k, len(rows))
+    for lo in range(0, len(rows), 40):
+        top.add(harness._top_rows(rows[lo:lo + 40], k))
+    y1, y2 = top.columns()
+    # a top set: the len(y2) largest y2 values of the sample, k or more
+    assert len(y2) >= k
+    assert np.array_equal(np.sort(y2), np.sort(rows[:, 1])[-len(y2):])
+    v = np.sort(rows[:, 1])[-k]
+
+    def above(r):
+        return sorted(map(tuple, r[r[:, 1] > v]))
+
+    assert above(np.column_stack([y1, y2])) == above(rows)
 
 
 def test_tiny_sample_has_no_batch_stderr():
