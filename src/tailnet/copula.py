@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -53,7 +53,10 @@ class ParetoMargin:
     def quantile_tail(self, u):
         """Inverse survival function: (theta/u)**(1/alpha) for u in (0, 1]."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0) or np.any(u > 1):
+        # fmin/fmax skip NaN: a NaN level passes through, any other bad
+        # level raises, in one pass each and without a mask array
+        if u.size and (np.fmin.reduce(u, axis=None) <= 0
+                       or np.fmax.reduce(u, axis=None) > 1):
             raise DomainError("tail level must lie in (0, 1]")
         return np.power(self.theta / u, 1.0 / self.alpha)
 
@@ -237,11 +240,11 @@ def _mo_shock_layout(rates: MoRateFamily):
 
 def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
                         layout) -> np.ndarray:
-    """One block of copula-level draws U with P(U_j < u_j for all j) = C_hat(u).
+    """One block of copula-level draws U with P(U_j < u_j for all j) = C_hat(u)
+    for the independence and Marshall-Olkin families.
 
-    ``layout`` is what :func:`block_sampler` computes once: the Cholesky
-    factor of a Gaussian correlation matrix, the shock table of a
-    Marshall-Olkin model, None for independence.  The Marshall-Olkin
+    ``layout`` is what :func:`block_sampler` computes once: the shock table
+    of a Marshall-Olkin model, None for independence.  The Marshall-Olkin
     shocks are drawn in consecutive cache-sized row chunks
     (:func:`rng.row_chunks`) and reduced while each chunk is in cache.
     RNG-order contract: the chunks consume ``g`` exactly as one
@@ -250,12 +253,8 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
     whole-block computation.
     """
     d = model.d
-    dep = model.dependence
-    if isinstance(dep, Iid):
+    if layout is None:
         return 1.0 - g.random((size, d))
-    if isinstance(dep, Gaussian):
-        y = g.standard_normal((size, d)) @ layout.T
-        return np.clip(ndtr(-y), 1e-300, 1.0)
     lam, member, totals = layout
     unit = bool(np.all(lam == 1.0))     # x / 1.0 == x: skip the divide
     u = np.empty((size, d))
@@ -270,25 +269,56 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
     return u
 
 
-def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP):
+# Relative width of the score band a finish may misorder: scores closer than
+# SCORE_TOL * max(1, |score|) can map to losses in either order.  scipy's
+# ndtr is not monotone in the last bit: of 2e5 one-ulp steps of y near 1,
+# about 4600 move ndtr(-y) up, none undone more than 2 ulps later.
+SCORE_TOL = 1e-12
+
+
+def identity(rows):
+    """The finish of a kernel whose score is already its draw."""
+    return rows
+
+
+@dataclass(frozen=True)
+class BlockKernel:
+    """A block sampler in two parts.  ``score(*args)`` draws the cheapest
+    array whose columns order the rows as the draws do, and
+    ``finish(rows)`` maps score rows to the draws, elementwise and, per
+    column, non-decreasing for scores more than SCORE_TOL * max(1, |score|)
+    apart.  Calling the kernel gives the draws, ``finish(score(*args))``,
+    so a caller that keeps only the largest draws of a column can pick
+    their rows on the score and finish just those rows."""
+
+    score: Callable
+    finish: Callable = identity
+
+    def __call__(self, *args):
+        return self.finish(self.score(*args))
+
+
+def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel:
     """Per-block kernel ``draw(g, size)``: ``size`` risk vectors, exact Pareto
     margins, from the block generator ``g``.  The layout is computed once
-    here, not once per block."""
-    dep, layout = model.dependence, None
+    here, not once per block.  A Gaussian kernel's score is the latent
+    normal vector, which the Pareto margin maps up monotonically; the
+    independence and Marshall-Olkin scores are the draws themselves."""
+    dep, margin = model.dependence, model.margin
     if isinstance(dep, Gaussian):
-        layout = np.linalg.cholesky(dep.sigma.entries)
-    elif isinstance(dep, MarshallOlkin):
+        chol_t = np.linalg.cholesky(dep.sigma.entries).T
+        return BlockKernel(
+            lambda g, size: g.standard_normal((size, model.d)) @ chol_t,
+            lambda y: margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0)))
+    layout = None
+    if isinstance(dep, MarshallOlkin):
         if model.d > mo_dim_cap:
             raise CapacityError(
                 f"shock enumeration needs 2^d - 1 exponentials per draw; "
                 f"d = {model.d} exceeds the cap {mo_dim_cap}", mo_dim_cap)
         layout = _mo_shock_layout(dep.rates)
-
-    def draw(g, size):
-        return model.margin.quantile_tail(
-            _draw_uniform_block(model, g, size, layout))
-
-    return draw
+    return BlockKernel(lambda g, size: margin.quantile_tail(
+        _draw_uniform_block(model, g, size, layout)))
 
 
 def sample(model: RiskModel, n: int, seed: int, threads: int = 1,

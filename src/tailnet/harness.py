@@ -28,8 +28,8 @@ from scipy.optimize import minimize
 from . import network as net
 from . import rng
 # ``sample`` stays importable here: bench/tracing.py wraps harness.sample
-from .copula import (Iid, MarshallOlkin, RiskModel, block_sampler,  # noqa: F401
-                     sample)
+from .copula import (SCORE_TOL, BlockKernel, Iid, MarshallOlkin,  # noqa: F401
+                     RiskModel, block_sampler, identity, sample)
 from .covar import covar_asymptotic_model, covar_empirical, var_top_count
 from .errors import DomainError, ReliabilityError
 from .mrv import RectSet, gaussian_tail_asymptotic, mo_cone_spec, mo_mu
@@ -105,10 +105,13 @@ def study_pair(scenario: Scenario) -> tuple:
 def loss_blocks(scenario: Scenario, law, z_stream: int, a_stream: int):
     """Per-block kernel ``(b, size)`` of the study's losses: block b of the
     (n, 2) agent losses of the pair law ``law``, or of the (n, d) risk
-    vectors when ``law`` is None."""
+    vectors when ``law`` is None.  The risk vectors' kernel is a
+    :class:`BlockKernel` with the model's score and finish."""
     seed = scenario.study.seed
     if law is None:
-        return rng.seeded(seed, z_stream, block_sampler(scenario.model))
+        kernel = block_sampler(scenario.model)
+        return BlockKernel(rng.seeded(seed, z_stream, kernel.score),
+                           kernel.finish)
     return net.loss_sampler(law, scenario.model, seed, z_stream, a_stream)
 
 
@@ -138,12 +141,15 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     return gaussian_tail_asymptotic(dep.sigma, alpha, theta, rect, t)
 
 
-def _fold_point(scenario: Scenario, law, index: int, stats, combine, init,
-                threads: int):
-    """Fold ``stats(lo, losses)`` of grid point ``index``'s loss blocks (rows
-    ``lo`` onwards of its sample) in block order."""
+def _point_kernel(scenario: Scenario, law, index: int):
+    """The :func:`loss_blocks` kernel of grid point ``index``'s streams."""
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
+    return loss_blocks(scenario, law, z_stream, z_stream + 1)
+
+
+def _fold_point(scenario: Scenario, draw, stats, combine, init, threads: int):
+    """Fold ``stats(lo, draw(b, size))`` over a point's blocks (rows ``lo``
+    onwards of its sample) in block order."""
     return rng.fold_blocks(
         scenario.study.mc_budget,
         lambda b, size: stats(b * rng.BLOCK_SIZE, draw(b, size)),
@@ -168,8 +174,9 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
             out[2 + batch] = np.count_nonzero(joint[start:stop])
         return out
 
-    total = _fold_point(scenario, law, index, counts, np.add,
-                        np.zeros(2 + N_BATCHES, dtype=np.int64), threads)
+    total = _fold_point(scenario, _point_kernel(scenario, law, index), counts,
+                        np.add, np.zeros(2 + N_BATCHES, dtype=np.int64),
+                        threads)
     hits, m = int(total[0]), int(total[1])
     emp = hits / n
     se = _batch_stderr(total[2:], n // N_BATCHES)
@@ -234,6 +241,23 @@ def _top_rows(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[np.argpartition(rows[:, 1], cut)[cut:]]
 
 
+def _top_scored_rows(score: np.ndarray, k: int, finish) -> np.ndarray:
+    """:func:`_top_rows` of the losses ``finish(score)``, finishing only the
+    rows whose column-1 score is at or near the top k.  The band of
+    SCORE_TOL below the k-th largest score holds every row that rounding in
+    ``finish`` can lift into the top k."""
+    if finish is identity:
+        return _top_rows(score, k)
+    cut = len(score) - k
+    if cut <= 0:
+        return finish(score)
+    s = score[:, 1]
+    thr = np.partition(s, cut)[cut]
+    # compress copies the rows about 4x faster than a boolean index
+    near = np.compress(s >= thr - SCORE_TOL * max(1.0, abs(thr)), score, axis=0)
+    return _top_rows(finish(near), k)
+
+
 class _TopRows:
     """The rows with the ``k`` largest y2 values among the rows added so far
     from an ``n``-row sample, held as (y1, y2) columns.
@@ -287,7 +311,9 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
     from the rows with the largest y2 values: the ``var_top_count`` of the
     sample and of each batch, merged over the blocks.  They hold the
     conditioning VaR and every row above it, so the result equals the
-    whole-sample computation, with memory O(n gamma) for the kept rows."""
+    whole-sample computation, with memory O(n gamma) for the kept rows.
+    The rows are picked on the loss kernel's score (the latent normal of a
+    Gaussian copula), and only they are mapped to losses."""
     study, (law, case) = scenario.study, pair
     if law is None:
         value, _ = covar_asymptotic_model(scenario.model, gamma,
@@ -308,13 +334,20 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
     # from gamma ~ 1/2 on, the kept rows are the whole sample in row order,
     # and the batches are its slices
     whole = 2 * k_all >= n
+    # a kernel without a score (network losses) scores by its losses
+    kernel = _point_kernel(scenario, law, index)
+    finish = getattr(kernel, "finish", identity)
 
-    def tops(lo, xs):
+    def tops(lo, score):
         if whole:
-            return xs, []
-        return (_top_rows(xs, k_all),
-                [(batch, _top_rows(xs[start:stop], k_batch))
-                 for batch, start, stop in _batch_cuts(lo, len(xs), n)])
+            return finish(score), []
+        rows, pick = score, finish
+        if len(score) <= k_all:
+            # the block keeps every row: finish it once, pick batches on losses
+            rows, pick = finish(score), identity
+        return (_top_scored_rows(rows, k_all, pick),
+                [(batch, _top_scored_rows(rows[start:stop], k_batch, pick))
+                 for batch, start, stop in _batch_cuts(lo, len(rows), n)])
 
     def merge(acc, part):
         kept, batches = acc
@@ -324,7 +357,7 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
         return acc
 
     kept, batches = _fold_point(
-        scenario, law, index, tops, merge,
+        scenario, getattr(kernel, "score", kernel), tops, merge,
         (_TopRows(k_all, n), [_TopRows(k_batch, per) for _ in range(N_BATCHES)]),
         threads)
     y1, y2 = kept.columns()

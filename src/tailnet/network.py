@@ -30,10 +30,13 @@ from . import rng
 from .copula import (Gaussian, Iid, MarshallOlkin, RiskModel,  # noqa: F401
                      block_sampler, sample)
 from .covar import EciReport, GSpec, gauss_level_function
-from .errors import DispatchError, DomainError, ModelError
+from .errors import CapacityError, DispatchError, DomainError, ModelError
 from .mrv import PowerLog
 
 ADJ_MC_DRAWS = 100_000
+# Least P(agent row != 0) a random law may have when it is drawn: the
+# no-trivial-row redraw loop takes about 1 / P rounds.
+MIN_ROW_LIVE_PROB = 1e-6
 
 CASE_OVERLAP = "overlap"
 CASE_IID = "disjoint-iid"
@@ -173,9 +176,19 @@ def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndar
     redraw round visits the rows still dead in row-major (``argwhere``)
     order, so the bytes do not depend on the chunking.  Weights are > 0, so
     a row is dead exactly when it has no edge, and only rows just redrawn
-    can still be dead.
+    can still be dead.  A law with an agent row that is nonzero with
+    probability below MIN_ROW_LIVE_PROB raises CapacityError before any
+    draw, as its redraw loop would not end in practice.
     """
     q, d = net.q, net.d
+    live = 1.0 - np.prod(1.0 - net.edge_prob, axis=1)
+    if live.min() < MIN_ROW_LIVE_PROB:
+        k = int(live.argmin())
+        raise CapacityError(
+            f"agent row {k} is nonzero with probability {live[k]:.3g}, "
+            f"below {MIN_ROW_LIVE_PROB:g}: conditioning on no all-zero row "
+            f"would redraw it about {1 / live[k]:.3g} times",
+            MIN_ROW_LIVE_PROB)
     edges = np.empty((n, q, d), dtype=bool)
     for lo, hi in rng.row_chunks(n, q * d):
         np.less(g.random((hi - lo, q, d)), net.edge_prob, out=edges[lo:hi])

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import kstest
 
 import tailnet as tn
-from tailnet.copula import BernsteinMixture
+from tailnet import rng
+from tailnet.copula import SCORE_TOL, BernsteinMixture, block_sampler
 from tailnet.errors import CapacityError, DomainError, ModelError
 from tailnet.orthant import bivariate_normal_survival
 
@@ -250,3 +251,66 @@ class TestBernsteinMixture:
 def test_pareto_margin_rejects_non_finite_parameters(alpha, theta):
     with pytest.raises(ModelError, match="finite"):
         tn.ParetoMargin(alpha, theta)
+
+
+
+KERNEL_MODELS = {
+    "iid": tn.RiskModel.iid(2, 1.5, 2.0),
+    "gauss": tn.RiskModel.gaussian(
+        tn.CorrelationMatrix.equicorrelation(2, 0.5), 1.5, 2.0),
+    "mo-equal": mo2(alpha=1.5, theta=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_block_kernel_draw_is_the_finished_score(name):
+    kernel = block_sampler(KERNEL_MODELS[name])
+    for size in (1, 1000, rng.chunk_rows(3) + 7):
+        got = kernel(rng.philox_stream(3, 0, 1), size)
+        want = kernel.finish(kernel.score(rng.philox_stream(3, 0, 1), size))
+        assert got.shape == (size, 2)
+        assert got.tobytes() == want.tobytes()
+
+
+def one_ulp_run(y, steps):
+    """``steps`` + 1 consecutive doubles from ``y`` up."""
+    run = [y]
+    for _ in range(steps):
+        run.append(np.nextafter(run[-1], np.inf))
+    return np.array(run)
+
+
+def misorders_beyond_band(finish, scores):
+    """Rows of both columns where the finish of an ascending run of scores
+    is below that of a score more than the SCORE_TOL band lower."""
+    loss = finish(np.column_stack([scores, scores]))
+    peak = np.maximum.accumulate(loss, axis=0)
+    below = np.searchsorted(
+        scores, scores - SCORE_TOL * np.maximum(1.0, np.abs(scores)))
+    has = below > 0
+    return np.count_nonzero(peak[below[has] - 1] > loss[has])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_block_kernel_finish_is_non_decreasing_per_column(name):
+    kernel = block_sampler(KERNEL_MODELS[name])
+    run = np.sort(kernel.score(rng.philox_stream(5, 0, 2), 20_000), axis=0)
+    assert np.all(np.diff(kernel.finish(run), axis=0) >= 0)
+    # one-ulp runs: rounding may misorder neighbours (ndtr does, a few in
+    # a thousand steps from 2.3), never beyond the band
+    for y in (2.3, 3.7, 8.0):
+        assert misorders_beyond_band(kernel.finish, one_ulp_run(y, 3000)) == 0
+
+
+def test_quantile_tail_range_check():
+    m = tn.ParetoMargin(1.0)
+    for bad in (0.0, 1.0 + 1e-12, -1.0, [0.5, 0.0], [[0.5], [2.0]],
+                [math.nan, 0.0]):
+        with pytest.raises(DomainError):
+            m.quantile_tail(bad)
+    assert m.quantile_tail(np.empty((0, 2))).shape == (0, 2)
+    assert m.quantile_tail(1.0) == 1.0
+    # a NaN level passes through, as it always has
+    assert np.isnan(m.quantile_tail([math.nan, 0.5])[0])
+    with pytest.raises(ModelError):
+        tn.ParetoMargin(math.inf).quantile_tail(0.5)

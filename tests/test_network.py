@@ -504,3 +504,22 @@ class TestMomentDraws:
 
         with pytest.raises(ValueError):
             a_moment(net, overwrite, n_a=100, seed=1)
+
+
+def test_law_with_a_nearly_dead_row_raises_before_drawing():
+    from tailnet.errors import CapacityError
+    from tailnet.network import MIN_ROW_LIVE_PROB
+    p = np.array([[1e-9, 1e-9], [0.5, 0.5]])
+    # built and resolved for closed forms; refused once drawn
+    net = tn.BipartiteNetwork(2, 2, p, tn.WeightSpec("point", 1.0, 1.0))
+    assert tn.resolve_case(net, tn.RiskModel.iid(2, 1.0)) == "overlap"
+    model = tn.RiskModel.iid(2, 1.0)
+    for draw in (lambda: tn.sample_adjacency(net, seed=1),
+                 lambda: sample_losses(net, model, 10, seed=1),
+                 lambda: tn.network.row_moment_sum(net, 0, 1.0, n_a=10)):
+        with pytest.raises(CapacityError) as err:
+            draw()
+        assert err.value.limit == MIN_ROW_LIVE_PROB
+    # a sparse law above the floor still draws (about 1e3 redraw rounds)
+    sparse = tn.BipartiteNetwork(1, 1, 1e-3, tn.WeightSpec("point", 1.0, 1.0))
+    assert tn.sample_adjacency(sparse, seed=1).entries[0, 0] == 1.0

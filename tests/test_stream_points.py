@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tailnet import harness, rng
-from tailnet.covar import var_empirical
+from tailnet.covar import var_empirical, var_top_count
 from tailnet.harness import rows_to_csv, study_pair
 from tailnet.scenario import parse_scenario
 
@@ -160,3 +160,73 @@ def test_covar_point_memory_does_not_grow_with_the_sample():
     # about 10x higher at 1e7 draws than at 1e6
     small, large = covar_point_peak(1_000_000), covar_point_peak(10_000_000)
     assert large <= small + (16 << 20), (small, large)
+
+
+def rescored(monkeypatch, transform):
+    """Route the harness's Gaussian kernels through ``transform`` of their
+    score, so the streamed points and the oracle (through
+    ``harness.draw_losses``) both draw ``finish(transform(score))``."""
+    real = harness.block_sampler
+
+    def sampler(model, *args):
+        kernel = real(model, *args)
+        return harness.BlockKernel(
+            lambda g, size: transform(kernel.score(g, size)), kernel.finish)
+
+    monkeypatch.setattr(harness, "block_sampler", sampler)
+
+
+def block_score_cut(sc, gamma):
+    """Column-1 score of block 0 at the point's k-th largest, and its
+    count."""
+    kernel = harness.loss_blocks(sc, None, rng.STREAM_STUDY_BASE,
+                                 rng.STREAM_STUDY_BASE + 1)
+    s = np.sort(kernel.score(0, B)[:, 1])
+    cut = s[B - var_top_count(sc.study.mc_budget, gamma)]
+    return cut, np.count_nonzero(s == cut)
+
+
+def assert_streamed_rows_equal_oracle(sc):
+    pair = study_pair(sc)
+    for index, value in enumerate(sc.study.grid):
+        want = row_bytes(point_oracle.covar_point(sc, pair, value, index))
+        for threads in (1, 2):
+            got = row_bytes(harness._covar_point(sc, pair, value, index,
+                                                 threads))
+            assert got == want, (value, threads)
+
+
+def test_score_picked_rows_equal_materialised_rows_with_score_ties(
+        monkeypatch):
+    sc = scenario(GAUSS2, B + 4099, dict(COVAR, grid=[0.1, 0.6]))
+    rescored(monkeypatch, lambda y: np.round(y, 2))
+    cut, count = block_score_cut(sc, 0.1)
+    assert count > 100
+    xs = harness.draw_losses(sc, None, rng.STREAM_STUDY_BASE,
+                             rng.STREAM_STUDY_BASE + 1)
+    assert np.count_nonzero(xs[:, 1] == var_empirical(xs[:, 1], 0.1)) > 100
+    assert_streamed_rows_equal_oracle(sc)
+
+
+def test_score_picked_rows_cover_rounding_inversions_below_the_cut(
+        monkeypatch):
+    sc = scenario(GAUSS2, B + 4099, dict(COVAR, grid=[0.1]))
+    finish = harness.block_sampler(sc.model).finish
+    # a < b one ulp apart with finish(a) > finish(b), near the 10% cut
+    run = 1.28 + np.arange(100_000) * np.spacing(1.28)
+    loss = finish(np.column_stack([run, run]))[:, 1]
+    i = int(np.argmax(loss[:-1] > loss[1:]))
+    a, b = run[i], run[i + 1]
+    assert loss[i] > loss[i + 1] and b == np.nextafter(a, np.inf)
+
+    def snap(y):
+        # the rows between 1.2 and 1.36 move to b, every third one to a
+        band = (y[:, 1] > 1.2) & (y[:, 1] < 1.36)
+        third = np.arange(len(y)) % 3 == 0
+        y[band, 1] = np.where(third[band], a, b)
+        return y
+
+    rescored(monkeypatch, snap)
+    cut, count = block_score_cut(sc, 0.1)
+    assert cut == b and count > 100
+    assert_streamed_rows_equal_oracle(sc)
