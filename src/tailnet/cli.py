@@ -19,9 +19,8 @@ from .copula import Gaussian, Iid, MarshallOlkin, sample
 from .covar import eci_analytic_model, eci_empirical
 from .errors import (DomainError, ModelError, ReliabilityError, ScenarioError,
                      TailnetError)
-from .harness import (covar_rows_to_csv, draw_losses, rows_to_csv,
-                      run_covar_study, run_tail_study, study_pair,
-                      study_to_json)
+from .harness import (covar_rows_to_csv, rows_to_csv, run_covar_study,
+                      run_tail_study, study_pair, study_to_json, top_loss_rows)
 from .mrv import mutual_ai_gaussian, pairwise_ai_gaussian, solve_qp
 from .scenario import Scenario, load_scenario
 
@@ -58,9 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override_seed(scenario: Scenario, seed) -> Scenario:
+    """``scenario`` with study seed ``seed``, also in the raw document that
+    JSON outputs echo."""
     if seed is None or scenario.study is None:
         return scenario
-    return replace(scenario, study=replace(scenario.study, seed=seed))
+    raw = dict(scenario.raw, study=dict(scenario.raw["study"], seed=seed))
+    return replace(scenario, study=replace(scenario.study, seed=seed), raw=raw)
 
 
 def _emit(text: str, out) -> None:
@@ -71,14 +73,13 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
-def _study_seed(scenario: Scenario) -> int:
-    return scenario.study.seed if scenario.study is not None else 0
-
-
 def _cmd_sample(scenario: Scenario, args) -> str:
+    study = scenario.study
     n = args.n if args.n is not None else \
-        (scenario.study.mc_budget if scenario.study else 10_000)
-    z = sample(scenario.model, n, _study_seed(scenario), threads=args.threads)
+        (study.mc_budget if study else 10_000)
+    # without a study section, --seed is the only seed
+    seed = study.seed if study else (args.seed or 0)
+    z = sample(scenario.model, n, seed, threads=args.threads)
     header = ",".join(f"z{j + 1}" for j in range(scenario.model.d))
     lines = [header]
     lines.extend(",".join(repr(float(v)) for v in row) for row in z)
@@ -126,9 +127,11 @@ def _cmd_eci(scenario: Scenario, args) -> str:
     if args.empirical:
         if scenario.study is None:
             raise DomainError("empirical eci needs a study section")
-        xs = draw_losses(scenario, law, threads=args.threads)
-        emp = eci_empirical(xs[:, 0], xs[:, 1], scenario.study.grid,
-                            scenario.study.upsilon)
+        study = scenario.study
+        (y1, y2), *_ = top_loss_rows(scenario, law, max(study.grid),
+                                     threads=args.threads)
+        emp = eci_empirical(y1, y2, study.grid, study.upsilon,
+                            n=study.mc_budget)
         doc["empirical"] = {"eci": emp.eci, "beta": emp.beta,
                             "band_factor": emp.band_factor,
                             "points": emp.n_points}

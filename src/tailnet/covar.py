@@ -419,13 +419,18 @@ def eci_analytic_model(model: RiskModel) -> EciReport:
 
 
 def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
-                  band_factor: float = 2.0, min_points: int = 4) -> EciReport:
+                  band_factor: float = 2.0, min_points: int = 4,
+                  n: Optional[int] = None) -> EciReport:
     """Slope-based ECI estimate.
 
     For each gamma, the largest level g_hat keeping the empirical CoVaR
     within a factor ``band_factor`` of VaR_gamma(Y2) is the conditional
     exceedance frequency of VaR/band divided by upsilon; the decay exponent
     beta is the log-log regression slope and ECI its reciprocal.
+
+    With ``n``, the pairs are only the rows of an ``n``-row sample with its
+    ``var_top_count(n, max(gamma_grid))`` (or more) largest y2 values, as
+    in :func:`covar_empirical`.
     """
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = np.asarray(y2, dtype=float).ravel()
@@ -436,7 +441,7 @@ def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
         raise DomainError("gamma grid must span at least 1.5 decades")
     logs_g, logs_gamma = [], []
     for gv in grid:
-        v = var_empirical(y2, gv)
+        v = var_empirical(y2, gv, n)
         cond = y1[y2 > v]
         if cond.size < MIN_EXCEEDANCES:
             continue

@@ -9,7 +9,7 @@ fixed-size counter blocks, and rows are emitted in grid order, so the CSV
 bytes do not depend on the thread count.
 
 A point never holds its whole sample: it folds its statistics over the loss
-blocks in block order (:func:`_fold_point`), from per-block counts for tail
+blocks in block order (:func:`rng.fold_blocks`), from per-block counts for tail
 probabilities and per-block top rows for CoVaR, and gets the same bytes as
 the statistics of the whole sample.
 """
@@ -141,42 +141,29 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     return gaussian_tail_asymptotic(dep.sigma, alpha, theta, rect, t)
 
 
-def _point_kernel(scenario: Scenario, law, index: int):
-    """The :func:`loss_blocks` kernel of grid point ``index``'s streams."""
-    z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    return loss_blocks(scenario, law, z_stream, z_stream + 1)
-
-
-def _fold_point(scenario: Scenario, draw, stats, combine, init, threads: int):
-    """Fold ``stats(lo, draw(b, size))`` over a point's blocks (rows ``lo``
-    onwards of its sample) in block order."""
-    return rng.fold_blocks(
-        scenario.study.mc_budget,
-        lambda b, size: stats(b * rng.BLOCK_SIZE, draw(b, size)),
-        combine, init, threads=threads, block_size=rng.BLOCK_SIZE)
-
-
 def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 threads: int = 1) -> StudyRow:
     study, model = scenario.study, scenario.model
     law, case = pair
     x = _thresholds(study, model.d if law is None else 2)
     n, cut = study.mc_budget, t * x
+    z_stream = rng.STREAM_STUDY_BASE + 2 * index
+    draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
 
-    def counts(lo, xs):
-        """[joint hits, marginal hits, joint hits per batch]"""
+    def counts(b, size):
+        """[joint hits, marginal hits, joint hits per batch] of block b"""
+        xs = draw(b, size)
         joint = np.all(xs > cut, axis=1)
         out = np.zeros(2 + N_BATCHES, dtype=np.int64)
         out[0] = np.count_nonzero(joint)
         if study.target == "cond":
             out[1] = np.count_nonzero(xs[:, 1] > cut[1])
-        for batch, start, stop in _batch_cuts(lo, len(xs), n):
+        for batch, start, stop in _batch_cuts(b * rng.BLOCK_SIZE, size, n):
             out[2 + batch] = np.count_nonzero(joint[start:stop])
         return out
 
-    total = _fold_point(scenario, _point_kernel(scenario, law, index), counts,
-                        np.add, np.zeros(2 + N_BATCHES, dtype=np.int64),
-                        threads)
+    total = rng.fold_blocks(n, counts, np.add,
+                            np.zeros(2 + N_BATCHES, dtype=np.int64), threads)
     hits, m = int(total[0]), int(total[1])
     emp = hits / n
     se = _batch_stderr(total[2:], n // N_BATCHES)
@@ -246,8 +233,6 @@ def _top_scored_rows(score: np.ndarray, k: int, finish) -> np.ndarray:
     rows whose column-1 score is at or near the top k.  The band of
     SCORE_TOL below the k-th largest score holds every row that rounding in
     ``finish`` can lift into the top k."""
-    if finish is identity:
-        return _top_rows(score, k)
     cut = len(score) - k
     if cut <= 0:
         return finish(score)
@@ -264,29 +249,23 @@ class _TopRows:
 
     Rows are buffered up to 2k (or n) and cut back to the top k when the
     buffer is full, so n rows cost O(n) time in all and the buffer O(k)
-    memory.  After a cut, a row whose y2 is at or below the smallest kept
-    y2 can only tie with the final smallest value, whose rows CoVaR does not
-    use (it conditions on y2 strictly above it), so such rows are dropped
-    on arrival.  Added parts hold at most k rows.
+    memory.  Added parts hold at most k rows.
     """
 
     def __init__(self, k: int, n: int):
         self.k, self.n, self.cap = k, n, min(2 * k, n)
         self.y1 = self.y2 = None
-        self.size, self.floor = 0, -math.inf
+        self.size = 0
 
     def add(self, rows: np.ndarray) -> None:
         if self.y1 is None:
             self.y1, self.y2 = np.empty(self.cap), np.empty(self.cap)
-        elif self.floor > -math.inf:
-            rows = rows[rows[:, 1] > self.floor]
         if self.size + len(rows) > self.cap:
             cut = self.size - self.k
             keep = np.argpartition(self.y2[:self.size], cut)[cut:]
             for col in (self.y1, self.y2):
                 col[:self.k] = col[keep]
             self.size = self.k
-            self.floor = float(self.y2[:self.k].min())
         stop = self.size + len(rows)
         self.y1[self.size:stop], self.y2[self.size:stop] = rows[:, 0], rows[:, 1]
         self.size = stop
@@ -305,15 +284,57 @@ class _TopRows:
         return y1[top], y2[top]
 
 
+def top_loss_rows(scenario: Scenario, law, gamma: float,
+                  z_stream: int = rng.STREAM_RISK,
+                  a_stream: int = rng.STREAM_ADJACENCY,
+                  threads: int = 1) -> list:
+    """(y1, y2) of the rows of the :func:`draw_losses` sample with its
+    ``var_top_count(n, gamma)`` largest y2 values, then of each of its
+    N_BATCHES batches (``var_top_count(n // N_BATCHES, gamma)`` rows
+    each).  They hold the VaR of y2 at gamma and every row above it, so
+    CoVaR at gamma, or at any smaller level, on them equals the
+    whole-sample computation, with memory O(n gamma).  The rows are picked
+    on the loss kernel's score (the latent normal of a Gaussian copula),
+    and only they are mapped to losses."""
+    n = scenario.study.mc_budget
+    per = n // N_BATCHES
+    k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
+    # from gamma ~ 1/2 on, the kept rows are the whole sample in row order,
+    # and the batches are its slices
+    whole = 2 * k_all >= n
+    kernel = loss_blocks(scenario, law, z_stream, a_stream)
+    # a kernel without a score (network losses) scores by its losses
+    score = getattr(kernel, "score", kernel)
+    finish = getattr(kernel, "finish", identity)
+
+    def tops(b, size):
+        rows = score(b, size)
+        if whole:
+            return finish(rows), []
+        pieces = _batch_cuts(b * rng.BLOCK_SIZE, size, n)
+        return (_top_scored_rows(rows, k_all, finish),
+                [(batch, _top_scored_rows(rows[start:stop], k_batch, finish))
+                 for batch, start, stop in pieces])
+
+    def merge(acc, part):
+        acc[0].add(part[0])
+        for batch, rows in part[1]:
+            acc[1 + batch].add(rows)
+        return acc
+
+    kept = rng.fold_blocks(n, tops, merge, [_TopRows(k_all, n)] + [
+        _TopRows(k_batch, per) for _ in range(N_BATCHES)], threads)
+    if not whole:
+        return [rows.columns() for rows in kept]
+    y1, y2 = kept[0].columns()
+    return [(y1, y2)] + [(y1[b * per:(b + 1) * per], y2[b * per:(b + 1) * per])
+                         for b in range(N_BATCHES)]
+
+
 def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
                  threads: int = 1) -> StudyRow:
     """Empirical CoVaR of the point's sample and of each of its batches,
-    from the rows with the largest y2 values: the ``var_top_count`` of the
-    sample and of each batch, merged over the blocks.  They hold the
-    conditioning VaR and every row above it, so the result equals the
-    whole-sample computation, with memory O(n gamma) for the kept rows.
-    The rows are picked on the loss kernel's score (the latent normal of a
-    Gaussian copula), and only they are mapped to losses."""
+    from the :func:`top_loss_rows` of the sample and of each batch."""
     study, (law, case) = scenario.study, pair
     if law is None:
         value, _ = covar_asymptotic_model(scenario.model, gamma,
@@ -327,51 +348,15 @@ def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,
             branches = [("branch:low-upsilon", asym.low_upsilon.value),
                         ("branch:high-upsilon", asym.high_upsilon.value)]
     level = _covar_level(scenario, pair, gamma)
-    n = study.mc_budget
-    per = n // N_BATCHES
-    k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
-
-    # from gamma ~ 1/2 on, the kept rows are the whole sample in row order,
-    # and the batches are its slices
-    whole = 2 * k_all >= n
-    # a kernel without a score (network losses) scores by its losses
-    kernel = _point_kernel(scenario, law, index)
-    finish = getattr(kernel, "finish", identity)
-
-    def tops(lo, score):
-        if whole:
-            return finish(score), []
-        rows, pick = score, finish
-        if len(score) <= k_all:
-            # the block keeps every row: finish it once, pick batches on losses
-            rows, pick = finish(score), identity
-        return (_top_scored_rows(rows, k_all, pick),
-                [(batch, _top_scored_rows(rows[start:stop], k_batch, pick))
-                 for batch, start, stop in _batch_cuts(lo, len(rows), n)])
-
-    def merge(acc, part):
-        kept, batches = acc
-        kept.add(part[0])
-        for batch, rows in part[1]:
-            batches[batch].add(rows)
-        return acc
-
-    kept, batches = _fold_point(
-        scenario, getattr(kernel, "score", kernel), tops, merge,
-        (_TopRows(k_all, n), [_TopRows(k_batch, per) for _ in range(N_BATCHES)]),
-        threads)
-    y1, y2 = kept.columns()
+    n, z_stream = study.mc_budget, rng.STREAM_STUDY_BASE + 2 * index
+    (y1, y2), *batches = top_loss_rows(scenario, law, gamma, z_stream,
+                                       z_stream + 1, threads)
     try:
         emp = covar_empirical(y1, y2, level, gamma, n=n)
         flag = ""
     except ReliabilityError as exc:
         emp, flag = math.nan, f"low-hits:{exc.count}"
-    if whole:
-        batches = [(y1[b * per:(b + 1) * per], y2[b * per:(b + 1) * per])
-                   for b in range(N_BATCHES)]
-    else:
-        batches = [rows.columns() for rows in batches]
-    se = _covar_batch_stderr(batches, per, level, gamma)
+    se = _covar_batch_stderr(batches, n // N_BATCHES, level, gamma)
     if len(branches) > 1 and math.isfinite(emp) and emp > 0:
         dists = sorted((abs(math.log(emp / val)), tag, val)
                        for tag, val in branches)

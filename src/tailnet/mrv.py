@@ -211,11 +211,11 @@ def _subset_qp_cache(m: np.ndarray):
     return get
 
 
-def _gaussian_cone_data(m: np.ndarray, i: int, qp_of=None):
+def _gaussian_cone_data(m: np.ndarray, i: int):
     """gamma_i, the argmin family S_i, and |I_i| for cone order i >= 2."""
     d = m.shape[0]
     _check_subset_cap(d)
-    qp_of = qp_of or _subset_qp_cache(m)
+    qp_of = _subset_qp_cache(m)
     gammas = {}
     for size in range(i, d + 1):
         for subset in combinations(range(d), size):

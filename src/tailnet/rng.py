@@ -134,8 +134,6 @@ def concat_blocks(n, work, threads=DEFAULT_THREADS, block_size=BLOCK_SIZE):
     def put(acc, part):
         out, lo = acc
         if out is None:
-            if len(part) == n:
-                return part, n
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
         out[lo:lo + len(part)] = part
         return out, lo + len(part)

@@ -237,3 +237,35 @@ def test_infinite_margin_value_is_a_validation_error(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and field in err
     assert "Traceback" not in err
+
+
+def test_seed_override_reaches_the_echoed_scenario(tmp_path):
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "mo", "d": 2, "mo_variant": "equal"},
+           "study": {"grid": [10.0, 100.0], "mc_budget": 20_000, "seed": 5}}
+    path = write(tmp_path, "study.json", doc)
+    out = tmp_path / "a.json"
+    assert main(["tailprob", "--scenario", path, "--seed", "9",
+                 "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["scenario"]
+    assert echoed["study"]["seed"] == 9 and doc["study"]["seed"] == 5
+    # re-running the echoed scenario reproduces the rows exactly
+    again = tmp_path / "b.json"
+    assert main(["tailprob", "--scenario", write(tmp_path, "echo.json", echoed),
+                 "--out", str(again)]) == 0
+    assert again.read_text() == out.read_text()
+
+
+def test_seed_override_reaches_a_sample_without_study(tmp_path):
+    path = write(tmp_path, "nostudy.json",
+                 {"margin": {"alpha": 1.0, "theta": 1.0},
+                  "dependence": {"kind": "iid", "d": 2}})
+    texts = {}
+    for seed in (None, "0", "1", "9"):
+        out = tmp_path / f"{seed}.csv"
+        extra = [] if seed is None else ["--seed", seed]
+        assert main(["sample", "--scenario", path, "--n", "20",
+                     "--out", str(out)] + extra) == 0
+        texts[seed] = out.read_text()
+    assert texts[None] == texts["0"]
+    assert len({texts["0"], texts["1"], texts["9"]}) == 3

@@ -3,12 +3,14 @@ same row bytes as the whole-sample computation in ``point_oracle``, with a
 memory peak that does not grow with the sample size."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tailnet import harness, rng
+from tailnet.cli import main
 from tailnet.covar import var_empirical, var_top_count
 from tailnet.harness import rows_to_csv, study_pair
 from tailnet.scenario import parse_scenario
@@ -230,3 +232,45 @@ def test_score_picked_rows_cover_rounding_inversions_below_the_cut(
     cut, count = block_score_cut(sc, 0.1)
     assert cut == b and count > 100
     assert_streamed_rows_equal_oracle(sc)
+
+
+@pytest.mark.parametrize("n", [20, 50_000])
+def test_single_block_whole_sample_rows_equal_materialised_rows(n):
+    # gamma >= 1/2 keeps the whole sample, drawn in one block
+    assert_streamed_rows_equal_oracle(
+        scenario(GAUSS2, n, dict(COVAR, grid=[0.6, 0.5])))
+
+
+@pytest.mark.parametrize("dependence, network", [
+    (MO3, MATRIX), ({"kind": "iid", "d": 3}, RANDOM_LAW),
+    ({"kind": "iid", "d": 2}, None)])
+def test_blocks_keeping_every_row_equal_materialised_rows(dependence, network):
+    # gamma = 0.4 keeps more rows than a block holds and fewer than half
+    # the sample, with kernels whose score is their loss
+    n = 3 * B + 4321
+    assert 2 * var_top_count(n, 0.4) < n
+    assert var_top_count(n, 0.4) > B
+    assert_streamed_rows_equal_oracle(
+        scenario(dependence, n, dict(COVAR, grid=[0.4]), network))
+
+
+def eci_peak(tmp_path, n: int) -> int:
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0}, "dependence": GAUSS2,
+           "study": {"grid": [0.01, 0.005, 0.002, 0.001, 0.0003],
+                     "upsilon": 0.5, "mc_budget": n, "seed": 3}}
+    path = tmp_path / f"eci{n}.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main(["eci", "--scenario", str(path), "--empirical",
+                     "--out", str(tmp_path / f"eci{n}.out.json")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_empirical_eci_memory_does_not_grow_with_the_sample(tmp_path):
+    # the kept rows grow by 16 B per 100 draws here; the whole sample
+    # would add 16 B per draw
+    small, large = eci_peak(tmp_path, 1_000_000), eci_peak(tmp_path, 4_000_000)
+    assert large <= small + (16 << 20), (small, large)
