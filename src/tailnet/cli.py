@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import network as net
 from .copula import Gaussian, Iid, MarshallOlkin, sample
-from .covar import eci_analytic_model, eci_empirical
+from .covar import check_eci_grid, eci_analytic_model, eci_empirical
 from .errors import (DomainError, ModelError, ReliabilityError, ScenarioError,
                      TailnetError)
 from .harness import (covar_rows_to_csv, rows_to_csv, run_covar_study,
@@ -128,6 +128,7 @@ def _cmd_eci(scenario: Scenario, args) -> str:
         if scenario.study is None:
             raise DomainError("empirical eci needs a study section")
         study = scenario.study
+        check_eci_grid(study.grid)
         (y1, y2), *_ = top_loss_rows(scenario, law, max(study.grid),
                                      threads=args.threads)
         emp = eci_empirical(y1, y2, study.grid, study.upsilon,

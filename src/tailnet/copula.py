@@ -340,9 +340,8 @@ def survival_copula(model: RiskModel, u, return_error: bool = False):
 
     Exact product formulas for the independence and Marshall-Olkin families;
     deterministic quasi-random normal integration for the Gaussian family
-    (relative target 1e-3 for d <= 8; pass ``return_error`` to get the
-    integration error alongside the value, which matters above d = 8 where
-    the point budget may cap out first).
+    (relative target 1e-3; pass ``return_error`` to get the integration
+    error alongside the value).
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (model.d,):

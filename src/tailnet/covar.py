@@ -418,6 +418,17 @@ def eci_analytic_model(model: RiskModel) -> EciReport:
                      a, 2.0 * a / (1.0 + rho))
 
 
+def check_eci_grid(gamma_grid: Sequence[float]) -> list:
+    """The gamma grid as floats; raises unless it lies inside (0, 1) and
+    spans at least 1.5 decades, as :func:`eci_empirical` needs."""
+    grid = [float(gv) for gv in gamma_grid]
+    if any(not 0 < gv < 1 for gv in grid):
+        raise DomainError("gamma grid must lie inside (0, 1)")
+    if max(grid) / min(grid) < 10.0 ** 1.5:
+        raise DomainError("gamma grid must span at least 1.5 decades")
+    return grid
+
+
 def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
                   band_factor: float = 2.0, min_points: int = 4,
                   n: Optional[int] = None) -> EciReport:
@@ -434,11 +445,7 @@ def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
     """
     y1 = np.asarray(y1, dtype=float).ravel()
     y2 = np.asarray(y2, dtype=float).ravel()
-    grid = [float(gv) for gv in gamma_grid]
-    if any(not 0 < gv < 1 for gv in grid):
-        raise DomainError("gamma grid must lie inside (0, 1)")
-    if max(grid) / min(grid) < 10.0 ** 1.5:
-        raise DomainError("gamma grid must span at least 1.5 decades")
+    grid = check_eci_grid(gamma_grid)
     logs_g, logs_gamma = [], []
     for gv in grid:
         v = var_empirical(y2, gv, n)

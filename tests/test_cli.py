@@ -269,3 +269,21 @@ def test_seed_override_reaches_a_sample_without_study(tmp_path):
         texts[seed] = out.read_text()
     assert texts[None] == texts["0"]
     assert len({texts["0"], texts["1"], texts["9"]}) == 3
+
+
+def test_empirical_eci_rejects_a_tail_grid_before_sampling(tmp_path, capsys,
+                                                          monkeypatch):
+    import tailnet.cli as cli
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("top_loss_rows ran before the grid check")
+
+    monkeypatch.setattr(cli, "top_loss_rows", no_fold)
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "gaussian",
+                          "sigma": [[1.0, 0.5], [0.5, 1.0]]},
+           "study": {"grid": [10.0, 100.0, 1000.0], "mc_budget": 10_000_000,
+                     "seed": 1}}
+    path = write(tmp_path, "tailgrid.json", doc)
+    assert main(["eci", "--scenario", path, "--empirical"]) == 2
+    assert "(0, 1)" in capsys.readouterr().err

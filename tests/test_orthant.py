@@ -73,3 +73,14 @@ def test_central_orthant_d3_known_value():
     expect = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
     got = normal_orthant_survival(np.zeros(3), cov)
     assert got == pytest.approx(expect, rel=2e-3)
+
+
+def test_orthant_plus_inf_bound_is_zero():
+    cov = np.array([[1, .4, .2], [.4, 1, .1], [.2, .1, 1]], dtype=float)
+    assert normal_orthant_survival([1.0, math.inf, 0.5], cov,
+                                   return_error=True) == (0.0, 0.0)
+
+
+def test_orthant_rejects_singular_sigma():
+    with pytest.raises(DomainError):
+        normal_orthant_survival([0.5, 1.0, 1.5], np.ones((3, 3)))
