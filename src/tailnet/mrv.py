@@ -3,8 +3,10 @@
 The Gaussian side is driven entirely by the box-constrained quadratic
 program min_{z >= 1} z' Sigma^{-1} z, solved as a nonnegative least-squares
 problem whose active set is then confirmed by the KKT pass test
-(:func:`solve_qp`).  Only the cone spectra and the mutual-independence test
-still loop over all 2^d subsets; they are capped at d <= ``QP_DIM_CAP``.
+(:func:`solve_qp`).  The cone spectra solve the C(d, i) programs of size i
+and then grow only the sets tied at the minimum, one coordinate at a time;
+the mutual-independence test solves all 2^d principal submatrices in one
+stacked solve per chunk of each subset size.  Both refuse d > ``QP_DIM_CAP``.
 Scale functions are carried symbolically in power-log form
 ``c * t**a * (kappa + lam*log t)**p`` so tests can compare coefficients
 exactly rather than sampling opaque closures.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy.optimize import nnls
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
-                     MarshallOlkin, RiskModel, _mixture_block,
+                     MarshallOlkin, ParetoMargin, RiskModel, _mixture_block,
                      block_sampler, survival_copula)
 from .errors import CapacityError, DegenerateQpError, DomainError, ModelError
 from .orthant import normal_orthant_survival
@@ -35,6 +37,8 @@ from .orthant import normal_orthant_survival
 QP_DIM_CAP = 20
 QP_TOL = 1e-9
 BORDERLINE_TOL = 1e-9
+TIE_TOL = 1e-12
+STACK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -191,11 +195,16 @@ def solve_qp(sigma, tol: float = QP_TOL) -> QpSolution:
 
 
 def _check_subset_cap(d: int) -> None:
-    """Refuse a loop over all 2^d subsets before it starts."""
+    """Refuse a subset search in dimension d > ``QP_DIM_CAP`` before it starts."""
     if d > QP_DIM_CAP:
         raise CapacityError(
             f"subset enumeration is 2^d; d = {d} exceeds cap {QP_DIM_CAP}",
             QP_DIM_CAP)
+
+
+def _check_cone_order(d: int, i: int) -> None:
+    if not 1 <= i <= d:
+        raise DomainError(f"cone order must lie in 1..{d}")
 
 
 def _subset_qp_cache(m: np.ndarray):
@@ -212,17 +221,33 @@ def _subset_qp_cache(m: np.ndarray):
 
 
 def _gaussian_cone_data(m: np.ndarray, i: int):
-    """gamma_i, the argmin family S_i, and |I_i| for cone order i >= 2."""
+    """gamma_i, the argmin family S_i, and |I_i| for cone order i >= 2.
+
+    The QP value only grows as coordinates are added (gamma(S) <= gamma(T)
+    for S within T, by the Schur complement), so gamma_i is attained at
+    |S| = i and every set tied at the minimum is reached from a tied size-i
+    set through tied sets.  Only the C(d, i) sets of size i and the
+    one-coordinate supersets of tied sets are solved; gamma_i, the family
+    and |I_i| are then taken over the visited sets as over all of them.
+    In exact arithmetic no superset ties (dropping an active coordinate of
+    a size-(i+1) set lowers its value), so the search stops after one level
+    unless values tie within ``TIE_TOL``.
+    """
     d = m.shape[0]
     _check_subset_cap(d)
     qp_of = _subset_qp_cache(m)
-    gammas = {}
-    for size in range(i, d + 1):
-        for subset in combinations(range(d), size):
-            gammas[subset] = qp_of(subset).gamma
+    gammas = {s: qp_of(s).gamma for s in combinations(range(d), i)}
+    cut = min(gammas.values()) * (1.0 + TIE_TOL)
+    frontier = [s for s, g in gammas.items() if g <= cut]
+    while frontier:
+        grown = sorted({tuple(sorted(s + (j,)))
+                        for s in frontier for j in range(d) if j not in s})
+        for t in grown:
+            gammas[t] = qp_of(t).gamma
+        frontier = [t for t in grown if gammas[t] <= cut]
     gamma_i = min(gammas.values())
     family = tuple(s for s, g in sorted(gammas.items())
-                   if g <= gamma_i * (1.0 + 1e-12))
+                   if g <= gamma_i * (1.0 + TIE_TOL))
     card_i = min(len(qp_of(s).index_set) for s in family)
     return gamma_i, family, card_i, qp_of
 
@@ -234,10 +259,10 @@ def gaussian_cone_spec(sigma, alpha: float, theta: float, i: int) -> ConeSpec:
     for i >= 2 the index is alpha * gamma_i with gamma_i the minimum of the
     quadratic program over all principal submatrices of size >= i.
     """
+    ParetoMargin(alpha, theta)
     m = _as_matrix(sigma)
     d = m.shape[0]
-    if not 1 <= i <= d:
-        raise DomainError(f"cone order must lie in 1..{d}")
+    _check_cone_order(d, i)
     if i == 1:
         singles = tuple((j,) for j in range(d))
         return ConeSpec(i=1, alpha_i=alpha, b_inv=PowerLog(c=1.0 / theta, a=alpha),
@@ -275,9 +300,11 @@ def upsilon_constant(sigma, qp: QpSolution) -> float:
 
 def gaussian_mu(sigma, alpha: float, i: int, rect: RectSet) -> float:
     """Limit-measure mass of a rectangle under the cone-i Gaussian measure."""
+    ParetoMargin(alpha)
     m = _as_matrix(sigma)
     if rect.d != m.shape[0]:
         raise DomainError("rectangle dimension does not match Sigma")
+    _check_cone_order(rect.d, i)
     if len(rect.subset) < i:
         raise DomainError("rectangle must constrain at least i coordinates")
     if i == 1:
@@ -301,6 +328,7 @@ def gaussian_mu(sigma, alpha: float, i: int, rect: RectSet) -> float:
 def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
                              rect: RectSet, t: float) -> float:
     """Leading-order approximation of P(Z_s > t z_s for all s in S)."""
+    ParetoMargin(alpha, theta)
     m = _as_matrix(sigma)
     if rect.d != m.shape[0]:
         raise DomainError("rectangle dimension does not match Sigma")
@@ -324,8 +352,7 @@ def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
 
 
 def mo_alpha_i(variant: str, alpha: float, d: int, i: int) -> float:
-    if not 1 <= i <= d:
-        raise DomainError(f"cone order must lie in 1..{d}")
+    _check_cone_order(d, i)
     if variant == "equal":
         return (2.0 - 2.0 ** (-(i - 1))) * alpha
     if variant == "proportional":
@@ -335,6 +362,7 @@ def mo_alpha_i(variant: str, alpha: float, d: int, i: int) -> float:
 
 def mo_cone_spec(variant: str, alpha: float, theta: float, d: int, i: int) -> ConeSpec:
     """Cone-i data for the Marshall-Olkin family: pure power scale, no logs."""
+    ParetoMargin(alpha, theta)
     a_i = mo_alpha_i(variant, alpha, d, i)
     b_inv = PowerLog(c=theta ** (-a_i / alpha), a=a_i)
     return ConeSpec(i=i, alpha_i=a_i, b_inv=b_inv)
@@ -343,6 +371,7 @@ def mo_cone_spec(variant: str, alpha: float, theta: float, d: int, i: int) -> Co
 def mo_mu(variant: str, alpha: float, d: int, i: int, rect: RectSet) -> float:
     """Limit-measure mass of a rectangle: a product over the decreasing order
     statistics of the thresholds, nonzero only when |S| = i."""
+    ParetoMargin(alpha)
     if rect.d != d:
         raise DomainError("rectangle dimension does not match d")
     if len(rect.subset) < i:
@@ -368,14 +397,21 @@ def pairwise_ai_gaussian(sigma) -> bool:
 
 
 def mutual_ai_gaussian(sigma) -> bool:
-    """True iff Sigma_S^{-1} 1 > 0 componentwise for every nonempty subset."""
+    """True iff Sigma_S^{-1} 1 > 0 componentwise for every nonempty subset.
+
+    The principal submatrices of each size are solved in stacks of at most
+    ``STACK_CHUNK`` in ``combinations`` order; the first stack holding a
+    subset with min h <= 0 ends the test.
+    """
     m = _as_matrix(sigma)
     d = m.shape[0]
     _check_subset_cap(d)
     for size in range(2, d + 1):
-        for subset in combinations(range(d), size):
-            ii = list(subset)
-            h = np.linalg.solve(m[np.ix_(ii, ii)], np.ones(size))
+        subsets = combinations(range(d), size)
+        while chunk := list(islice(subsets, STACK_CHUNK)):
+            idx = np.array(chunk)
+            h = np.linalg.solve(m[idx[:, :, None], idx[:, None, :]],
+                                np.ones((len(chunk), size, 1)))
             if np.min(h) <= 0.0:
                 return False
     return True
@@ -384,6 +420,7 @@ def mutual_ai_gaussian(sigma) -> bool:
 def gaussian_support_mass(sigma, i: int, subset) -> bool:
     """True iff the cone-i limit measure charges the face spanned by S."""
     m = _as_matrix(sigma)
+    _check_cone_order(m.shape[0], i)
     s = tuple(sorted(subset))
     if len(s) != i:
         raise DomainError("subset size must equal the cone order")
