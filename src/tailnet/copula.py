@@ -246,26 +246,33 @@ def _draw_uniform_block(model: RiskModel, g: np.random.Generator, size: int,
     ``layout`` is what :func:`block_sampler` computes once: the shock table
     of a Marshall-Olkin model, None for independence.  The Marshall-Olkin
     shocks are drawn in consecutive cache-sized row chunks
-    (:func:`rng.row_chunks`) and reduced while each chunk is in cache.
-    RNG-order contract: the chunks consume ``g`` exactly as one
-    ``(size, 2^d - 1)`` draw does, and the per-coordinate minimum does not
-    depend on the order it is taken in, so the block is bit-identical to the
-    whole-block computation.
+    (:func:`rng.row_chunks`) and reduced while each chunk is in cache: the
+    transposed chunk is scattered to one row per subset bitmask, so the
+    subsets holding coordinate j are the rows with bit j set, a strided
+    view that ``np.minimum`` reduces row by row.  RNG-order contract: the
+    chunks consume ``g`` exactly as one ``(size, 2^d - 1)`` draw does, and
+    the per-coordinate minimum does not depend on the order it is taken in,
+    so the block is bit-identical to the whole-block computation.
     """
     d = model.d
     if layout is None:
         return 1.0 - g.random((size, d))
     lam, member, totals = layout
     unit = bool(np.all(lam == 1.0))     # x / 1.0 == x: skip the divide
+    masks = member @ (1 << np.arange(d))
     u = np.empty((size, d))
     for lo, hi in rng.row_chunks(size, lam.size):
-        shocks = g.standard_exponential((hi - lo, lam.size))
+        m = hi - lo
+        shocks = g.standard_exponential((m, lam.size))
         if not unit:
             shocks /= lam
-        t = u[lo:hi]
+        by_mask = np.empty((1 << d, m))     # row 0, the empty set, is unread
+        by_mask[masks] = shocks.T
+        t = np.empty((d, m))
         for j in range(d):
-            t[:, j] = shocks[:, member[:, j]].min(axis=1)
-        np.exp(-t * totals, out=t)
+            np.minimum.reduce(by_mask.reshape(-1, 2, 1 << j, m)[:, 1],
+                              axis=(0, 1), out=t[j])
+        np.exp(-t.T * totals, out=u[lo:hi])
     return u
 
 
@@ -289,13 +296,27 @@ class BlockKernel:
     column, non-decreasing for scores more than SCORE_TOL * max(1, |score|)
     apart.  Calling the kernel gives the draws, ``finish(score(*args))``,
     so a caller that keeps only the largest draws of a column can pick
-    their rows on the score and finish just those rows."""
+    their rows on the score and finish just those rows.
+
+    ``row_width`` is the float64 values a score call draws per row when
+    consecutive calls ``score(g, m_i)`` on one generator give the bytes of
+    one ``score(g, sum m_i)`` call, so that a caller may draw a block in
+    row chunks; None when they need not."""
 
     score: Callable
     finish: Callable = identity
+    row_width: Optional[int] = None
 
     def __call__(self, *args):
         return self.finish(self.score(*args))
+
+
+def _check_mo_dim(d: int, mo_dim_cap: int) -> None:
+    """Refuse a Marshall-Olkin subset walk (2^d - 1 shocks) past the cap."""
+    if d > mo_dim_cap:
+        raise CapacityError(
+            f"shock enumeration walks 2^d - 1 subsets; d = {d} exceeds the "
+            f"cap {mo_dim_cap}", mo_dim_cap)
 
 
 def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel:
@@ -303,22 +324,22 @@ def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel
     margins, from the block generator ``g``.  The layout is computed once
     here, not once per block.  A Gaussian kernel's score is the latent
     normal vector, which the Pareto margin maps up monotonically; the
-    independence and Marshall-Olkin scores are the draws themselves."""
+    independence and Marshall-Olkin scores are the draws themselves.  The
+    Gaussian score has no ``row_width``: its matmul takes another BLAS path
+    for a one-row call and need not return the same bits."""
     dep, margin = model.dependence, model.margin
     if isinstance(dep, Gaussian):
         chol_t = np.linalg.cholesky(dep.sigma.entries).T
         return BlockKernel(
             lambda g, size: g.standard_normal((size, model.d)) @ chol_t,
             lambda y: margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0)))
-    layout = None
+    layout, width = None, model.d
     if isinstance(dep, MarshallOlkin):
-        if model.d > mo_dim_cap:
-            raise CapacityError(
-                f"shock enumeration needs 2^d - 1 exponentials per draw; "
-                f"d = {model.d} exceeds the cap {mo_dim_cap}", mo_dim_cap)
+        _check_mo_dim(model.d, mo_dim_cap)
         layout = _mo_shock_layout(dep.rates)
+        width = layout[0].size
     return BlockKernel(lambda g, size: margin.quantile_tail(
-        _draw_uniform_block(model, g, size, layout)))
+        _draw_uniform_block(model, g, size, layout)), row_width=width)
 
 
 def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
@@ -335,13 +356,16 @@ def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
                               threads=threads)
 
 
-def survival_copula(model: RiskModel, u, return_error: bool = False):
+def survival_copula(model: RiskModel, u, return_error: bool = False,
+                    mo_dim_cap: int = MO_DIM_CAP):
     """Joint exceedance probability P(F_j(Z_j) > 1 - u_j for all j).
 
     Exact product formulas for the independence and Marshall-Olkin families;
     deterministic quasi-random normal integration for the Gaussian family
     (relative target 1e-3; pass ``return_error`` to get the integration
-    error alongside the value).
+    error alongside the value).  The Marshall-Olkin sum walks all 2^d - 1
+    subsets, so d > ``mo_dim_cap`` raises CapacityError, as in
+    :func:`sample`.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (model.d,):
@@ -357,6 +381,7 @@ def survival_copula(model: RiskModel, u, return_error: bool = False):
     if isinstance(dep, Iid):
         val = float(np.prod(u))
     else:
+        _check_mo_dim(model.d, mo_dim_cap)
         logu = np.log(u)
         total = 0.0
         for s in _all_subsets(model.d):

@@ -153,7 +153,9 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     def counts(b, size):
         """[joint hits, marginal hits, joint hits per batch] of block b"""
         xs = draw(b, size)
-        joint = np.all(xs > cut, axis=1)
+        joint = xs[:, 0] > cut[0]
+        for j in range(1, xs.shape[1]):
+            joint &= xs[:, j] > cut[j]
         out = np.zeros(2 + N_BATCHES, dtype=np.int64)
         out[0] = np.count_nonzero(joint)
         if study.target == "cond":

@@ -166,19 +166,35 @@ def select_rows(law: ALaw, k: int, m: int) -> ALaw:
     return AdjacencyMatrix(law_matrix(law)[[k, m], :])
 
 
-def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` exposure matrices conditioned on no all-zero agent row.
+def _fold_columns(op, mask: np.ndarray) -> np.ndarray:
+    """``op.reduce(mask, axis=-1)`` for a bool ``mask`` and a logical ufunc
+    ``op``, one pass per column: numpy reduces a short last axis about 5x
+    slower."""
+    out = mask[..., 0].copy()
+    for j in range(1, mask.shape[-1]):
+        op(out, mask[..., j], out=out)
+    return out
 
-    The edge uniforms of all ``n`` draws are taken first, then the weights,
-    each pass in cache-sized row chunks; then every all-zero agent row is
-    redrawn (edges, then weights) until none is left.  RNG-order contract:
-    the chunks consume ``g`` exactly as one ``(n, q, d)`` draw does, and each
-    redraw round visits the rows still dead in row-major (``argwhere``)
-    order, so the bytes do not depend on the chunking.  Weights are > 0, so
-    a row is dead exactly when it has no edge, and only rows just redrawn
-    can still be dead.  A law with an agent row that is nonzero with
-    probability below MIN_ROW_LIVE_PROB raises CapacityError before any
-    draw, as its redraw loop would not end in practice.
+
+def _draw_exposures(net: BipartiteNetwork, g: np.random.Generator, n: int,
+                    width: int, visit):
+    """Draw ``n`` exposure matrices conditioned on no all-zero agent row in
+    one pass over row chunks of ``rng.chunk_rows(width)`` rows.
+
+    Each chunk's matrices go to ``visit(lo, hi, a, keep)`` with their
+    all-zero agent rows still in place; ``keep`` indexes the chunk's
+    matrices that have one.  Those matrices are kept, and after the last
+    chunk their all-zero rows are redrawn (edges, then weights) until none
+    is left.  Returns the kept matrices' indices in ``[0, n)`` and the
+    redrawn matrices.  RNG-order contract (the block layout in
+    :mod:`tailnet.rng`): the edges are drawn from ``g``, the weights and
+    then the redraw rounds from a second generator placed ``n q d`` draws
+    past ``g``, and each round visits the rows still dead in row-major
+    order, so the bytes do not depend on the chunking.  Weights are > 0,
+    so a row is dead exactly when it has no edge.  A law with an agent row
+    that is nonzero with probability below MIN_ROW_LIVE_PROB raises
+    CapacityError before any draw, as its redraw loop would not end in
+    practice.
     """
     q, d = net.q, net.d
     live = 1.0 - np.prod(1.0 - net.edge_prob, axis=1)
@@ -189,21 +205,37 @@ def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndar
             f"below {MIN_ROW_LIVE_PROB:g}: conditioning on no all-zero row "
             f"would redraw it about {1 / live[k]:.3g} times",
             MIN_ROW_LIVE_PROB)
-    edges = np.empty((n, q, d), dtype=bool)
-    for lo, hi in rng.row_chunks(n, q * d):
-        np.less(g.random((hi - lo, q, d)), net.edge_prob, out=edges[lo:hi])
-    a = np.zeros((n, q, d))
-    for lo, hi in rng.row_chunks(n, q * d):
-        np.copyto(a[lo:hi], net.weights.draw(g, (hi - lo, q, d)),
-                  where=edges[lo:hi])
-    idx = np.argwhere(~edges.any(axis=2))
+    gw = rng.positioned(g, n * q * d)
+    rows, kept = [np.empty(0, dtype=np.intp)], [np.empty((0, q, d))]
+    for lo, hi in rng.row_chunks(n, width):
+        edges = g.random((hi - lo, q, d)) < net.edge_prob
+        a = net.weights.draw(gw, edges.shape) * edges
+        has_edge = _fold_columns(np.logical_or, edges)
+        keep = np.flatnonzero(~_fold_columns(np.logical_and, has_edge))
+        visit(lo, hi, a, keep)
+        rows.append(lo + keep)
+        kept.append(a[keep])
+    a = np.concatenate(kept)
+    kept.clear()                        # free the parts before the redraw
+    idx = np.argwhere(~a.any(axis=2))
     while len(idx):
-        ne = g.random((len(idx), d)) < net.edge_prob[idx[:, 1]]
-        nw = net.weights.draw(g, (len(idx), d))
+        ne = gw.random((len(idx), d)) < net.edge_prob[idx[:, 1]]
+        nw = net.weights.draw(gw, (len(idx), d))
         live = ne.any(axis=1)
         a[idx[live, 0], idx[live, 1]] = np.where(ne[live], nw[live], 0.0)
         idx = idx[~live]
-    return a
+    return np.concatenate(rows), a
+
+
+def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` exposure matrices conditioned on no all-zero agent row: the
+    :func:`_draw_exposures` chunks with their kept matrices redrawn."""
+    out = np.empty((n, net.q, net.d))
+    rows, a = _draw_exposures(net, g, n, net.q * net.d,
+                              lambda lo, hi, part, keep:
+                              np.copyto(out[lo:hi], part))
+    out[rows] = a
+    return out
 
 
 def _reduce(law: AggregatedNetwork, a: np.ndarray) -> np.ndarray:
@@ -243,18 +275,49 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     """Per-block kernel ``(b, size) -> (size, q)`` draws of X = A Z: block b
     of the z stream, times block b of the a stream when A is random (a fresh
     (A, Z) per draw).  Per-block matmul and einsum return the same bytes as
-    over the whole sample."""
+    over the whole sample.
+
+    A random law's block is one pass over the :func:`_draw_exposures` row
+    chunks, each chunk's risk rows drawn by the model's kernel on that chunk
+    (a kernel without a ``row_width`` scores the block whole and finishes it
+    by chunk), so no ``(size, q, d)`` array is held.  The losses of the
+    matrices with an all-zero agent row are recomputed from their kept risk
+    rows once the rows are redrawn."""
     q, d = law_shape(law)
     if d != model.d:
         raise ModelError("network object count must match model dimension")
-    draw_z = rng.seeded(seed, z_stream, block_sampler(model))
+    kernel = block_sampler(model)
     if is_deterministic(law):
+        draw_z = rng.seeded(seed, z_stream, kernel)
         m_t = law_matrix(law).T
         return lambda b, size: draw_z(b, size) @ m_t
+    base = law.base if isinstance(law, AggregatedNetwork) else law
+    width = max(base.q * d, kernel.row_width or d)
+
+    def losses(a, z):
+        if isinstance(law, AggregatedNetwork):
+            a = _reduce(law, a)
+        return np.einsum("nqd,nd->nq", a, z)
 
     def draw(b, size):
-        a = _draw_law(law, rng.philox_stream(seed, a_stream, block=b), size)
-        return np.einsum("nqd,nd->nq", a, draw_z(b, size))
+        gz = rng.philox_stream(seed, z_stream, block=b)
+        whole = kernel.score(gz, size) if kernel.row_width is None else None
+        x = np.empty((size, q))
+        kept_z = []
+
+        def visit(lo, hi, a, keep):
+            z = kernel.finish(kernel.score(gz, hi - lo) if whole is None
+                              else whole[lo:hi])
+            x[lo:hi] = losses(a, z)
+            kept_z.append(z[keep])
+
+        rows, a = _draw_exposures(
+            base, rng.philox_stream(seed, a_stream, block=b), size, width,
+            visit)
+        z = np.concatenate(kept_z)
+        kept_z.clear()
+        x[rows] = losses(a, z)
+        return x
 
     return draw
 

@@ -24,6 +24,16 @@ Stream ids used by the package (all under one user-facing seed):
    4  orthant-integration lattice shifts (fixed internal seed)
  32+  study grid points (32 + point index)
 ====  ==========================================
+
+An adjacency block of ``n`` exposure matrices of a q x d law is laid out in
+64-bit draws from the block's start: the edge uniforms of all ``n``
+matrices in row-major order at ``[0, nqd)``, their weights at
+``[nqd, 2nqd)`` (an empty section for point weights), then the redraw
+rounds of the all-zero agent rows from the end of the weights on.  Each
+round draws the edge uniforms of the rows still all-zero, in row-major
+order, then their weights.  The edges and the weights are drawn from two
+generators, the second placed at ``nqd`` by :func:`positioned`, so the
+bytes do not depend on how a block is split into row chunks.
 """
 
 from __future__ import annotations
@@ -64,6 +74,23 @@ def philox_stream(seed: int, stream: int, block: int = 0) -> np.random.Generator
                    dtype=np.uint64)
     counter = np.array([0, 0, block & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def positioned(g: np.random.Generator, offset: int) -> np.random.Generator:
+    """A new generator ``offset`` 64-bit draws past the position of the
+    Philox generator ``g`` on its stream; ``g`` does not move.  Philox is
+    counter-based: ``advance`` skips whole counter steps of four draws, and
+    the remainder is drawn and dropped."""
+    state = g.bit_generator.state
+    bits = np.random.Philox(key=0)
+    bits.state = state
+    skip = offset - (4 - state["buffer_pos"])  # draws left in its buffer
+    if skip < 0:
+        bits.random_raw(offset)
+    else:
+        bits.advance(skip // 4)
+        bits.random_raw(skip % 4)
+    return np.random.Generator(bits)
 
 
 def blocks(n: int, block_size: int = BLOCK_SIZE):

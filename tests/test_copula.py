@@ -314,3 +314,44 @@ def test_quantile_tail_range_check():
     assert np.isnan(m.quantile_tail([math.nan, 0.5])[0])
     with pytest.raises(ModelError):
         tn.ParetoMargin(math.inf).quantile_tail(0.5)
+
+
+def enumerated_mo_survival(rates, u):
+    """The Marshall-Olkin survival copula summed over all 2^d - 1 subsets."""
+    logu = np.log(u)
+    total = 0.0
+    for size in range(1, rates.d + 1):
+        for s in itertools.combinations(range(rates.d), size):
+            total += min(rates.eta(j, s) * logu[j] for j in s)
+    return math.exp(total)
+
+
+def test_mo_survival_copula_refuses_past_the_cap_at_once():
+    import time
+    model = tn.RiskModel.marshall_olkin(40, "equal", 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        tn.survival_copula(model, np.full(40, 0.1))
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.limit == tn.copula.MO_DIM_CAP
+    five = tn.RiskModel.marshall_olkin(5, "proportional", 1.0)
+    u = np.linspace(0.05, 0.5, 5)
+    with pytest.raises(CapacityError):
+        tn.survival_copula(five, u, mo_dim_cap=4)
+    assert tn.survival_copula(five, u, mo_dim_cap=5) == \
+        tn.survival_copula(five, u)
+
+
+@pytest.mark.parametrize("d,variant", [(1, "equal"), (3, "proportional"),
+                                       (3, "general"), (8, "equal"),
+                                       (8, "proportional"), (16, "equal")])
+def test_mo_survival_copula_values_up_to_the_cap(d, variant):
+    rates = None
+    if variant == "general":
+        rates = {frozenset(s): 0.5 + 0.25 * len(s) + 0.1 * min(s)
+                 for size in range(1, d + 1)
+                 for s in itertools.combinations(range(d), size)}
+    model = tn.RiskModel.marshall_olkin(d, variant, 1.0, rates=rates)
+    u = np.random.default_rng(d).uniform(0.01, 0.9, d)
+    assert tn.survival_copula(model, u) == \
+        enumerated_mo_survival(model.dependence.rates, u)
