@@ -364,8 +364,8 @@ def survival_copula(model: RiskModel, u, return_error: bool = False,
     deterministic quasi-random normal integration for the Gaussian family
     (relative target 1e-3; pass ``return_error`` to get the integration
     error alongside the value).  The Marshall-Olkin sum walks all 2^d - 1
-    subsets, so d > ``mo_dim_cap`` raises CapacityError, as in
-    :func:`sample`.
+    subsets of the sampler's shock table, so d > ``mo_dim_cap`` raises
+    CapacityError, as in :func:`sample`.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (model.d,):
@@ -382,11 +382,10 @@ def survival_copula(model: RiskModel, u, return_error: bool = False,
         val = float(np.prod(u))
     else:
         _check_mo_dim(model.d, mo_dim_cap)
-        logu = np.log(u)
-        total = 0.0
-        for s in _all_subsets(model.d):
-            total += min(dep.rates.eta(j, s) * logu[j] for j in s)
-        val = math.exp(total)
+        lam, member, totals = _mo_shock_layout(dep.rates)
+        exps = np.where(member, lam[:, None] / totals * np.log(u), np.inf)
+        # a running sum: the pairwise np.sum would move the last bits
+        val = math.exp(np.cumsum(exps.min(axis=1))[-1])
     return (val, 0.0) if return_error else val
 
 

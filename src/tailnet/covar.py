@@ -1,6 +1,10 @@
 """Value-at-Risk / CoVaR estimators, the generic asymptotic-CoVaR machinery,
 model-specific closed-form rates, and the extreme CoVaR index.
 
+Each asymptotic case has its alpha2, b2_inv, level function g and ECI in
+one record (:func:`_case_forms`), read by the network layer per agent pair
+and by a bivariate risk model as the d = 2 network, one asset per agent.
+
 The empirical quantile convention throughout is the plain order-statistic
 plug-in: VaR at level gamma = k-th smallest sample with k = ceil(n(1-gamma)),
 no interpolation, so small-sample tests reproduce by hand.
@@ -17,11 +21,19 @@ from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .copula import Gaussian, Iid, MarshallOlkin, RiskModel
-from .errors import DomainError, ModelError, ReliabilityError
-from .mrv import PowerLog
+from .errors import DispatchError, DomainError, ModelError, ReliabilityError
+from .mrv import (PowerLog, mo_alpha_i, mo_max_exponent,
+                  mo_max_exponent_inverse, mo_variant)
 from .orthant import bivariate_normal_survival
 
 MIN_EXCEEDANCES = 20
+
+CASE_OVERLAP = "overlap"
+CASE_IID = "disjoint-iid"
+_CASE_MO = "disjoint-mo-"
+CASE_MO_EQUAL = _CASE_MO + "equal"
+CASE_MO_PROP = _CASE_MO + "proportional"
+CASE_GAUSS = "disjoint-gaussian"
 
 
 @dataclass(frozen=True)
@@ -192,14 +204,9 @@ def h_independence(alpha: float) -> HFunction:
 
 
 def h_mo(variant: str, alpha: float) -> HFunction:
-    """Bivariate Marshall-Olkin h: slope -alpha/2 (equal) or -alpha/3
-    (proportional) below 1, slope -alpha above."""
-    if variant == "equal":
-        small = -alpha / 2.0
-    elif variant == "proportional":
-        small = -alpha / 3.0
-    else:
-        raise ModelError("bivariate h requires the equal or proportional variant")
+    """Bivariate Marshall-Olkin h: slope -alpha * eta, -alpha/2 (equal) or
+    -alpha/3 (proportional), below 1, slope -alpha above."""
+    small = -alpha / mo_max_exponent_inverse(variant, 2)
     return HFunction(breakpoints=(1.0,), pieces=((1.0, small), (1.0, -alpha)))
 
 
@@ -213,14 +220,11 @@ def b2_inv_strong(alpha: float, theta: float) -> PowerLog:
 
 
 def b2_inv_independence(alpha: float, theta: float) -> PowerLog:
-    return PowerLog(c=theta ** -2.0, a=2.0 * alpha)
+    return _case_forms(CASE_IID, alpha, theta, 2).b2_inv
 
 
 def b2_inv_mo(variant: str, alpha: float, theta: float) -> PowerLog:
-    a2 = 1.5 * alpha if variant == "equal" else 4.0 * alpha / 3.0
-    if variant not in ("equal", "proportional"):
-        raise ModelError("bivariate scale requires the equal or proportional variant")
-    return PowerLog(c=theta ** (-a2 / alpha), a=a2)
+    return _case_forms(_CASE_MO + mo_variant(variant), alpha, theta, 2).b2_inv
 
 
 def b2_inv_gaussian(rho: float, alpha: float, theta: float) -> PowerLog:
@@ -259,15 +263,8 @@ def covar_asymptotic_mo(variant: str, alpha: float, theta: float, beta: float,
     with the beta-based selection as gamma -> 0 and keeps the value identical
     to the generic composition at every finite gamma.
     """
-    if variant == "equal":
-        eta = 0.5
-    elif variant == "proportional":
-        eta = 1.0 / 3.0
-    else:
-        raise ModelError("bivariate CoVaR requires the equal or proportional variant")
-    if beta < 0:
-        raise DomainError("beta must be >= 0")
-    query = CovarQuery(gamma, upsilon, GSpec(beta))  # validates the level
+    eta = mo_max_exponent(variant, 2)
+    query = CovarQuery(gamma, upsilon, GSpec(beta))  # validates beta, level
     var_gamma = (theta / gamma) ** (1.0 / alpha)
     lev = query.level
     if upsilon * gamma ** (beta - eta) <= 1.0:
@@ -281,17 +278,6 @@ def gauss_level_function(rho: float, alpha: float) -> GSpec:
     return GSpec(beta=(1.0 - rho) / (1.0 + rho), q=-rho / (1.0 + rho), c=1.0 / alpha)
 
 
-def _gauss_growth_ok(rho: float, g: GSpec) -> bool:
-    # g(gamma) = O(gamma^((1-rho)/(1+rho)) * (-log gamma)^(-rho/(1+rho)))
-    beta_req = (1.0 - rho) / (1.0 + rho)
-    q_req = -rho / (1.0 + rho)
-    if g.beta > beta_req + 1e-12:
-        return True
-    if abs(g.beta - beta_req) <= 1e-12:
-        return g.q <= q_req + 1e-12
-    return False
-
-
 def covar_asymptotic_gauss(alpha: float, theta: float, rho: float,
                            upsilon: float, gamma: float,
                            g: Optional[GSpec] = None) -> float:
@@ -303,9 +289,10 @@ def covar_asymptotic_gauss(alpha: float, theta: float, rho: float,
     """
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    if g is None:
-        g = gauss_level_function(rho, alpha)
-    if not _gauss_growth_ok(rho, g):
+    g = gauss_level_function(rho, alpha) if g is None else g
+    req = gauss_level_function(rho, 1.0)      # g must decay at least as fast
+    if not (g.beta > req.beta + 1e-12 or (abs(g.beta - req.beta) <= 1e-12
+                                          and g.q <= req.q + 1e-12)):
         raise DomainError(
             "level function grows too fast: need g(gamma) = "
             "O(gamma^((1-rho)/(1+rho)) (-log gamma)^(-rho/(1+rho)))")
@@ -326,21 +313,19 @@ def covar_asymptotic_model(model: RiskModel, gamma: float, upsilon: float,
 
     Returns ``(value, g_spec)`` where g_spec is the level function used.
     """
-    if model.d != 2:
-        raise DomainError("closed-form CoVaR is bivariate")
     a, th = model.margin.alpha, model.margin.theta
-    dep = model.dependence
-    if isinstance(dep, Iid):
-        spec = g if g is not None else GSpec(beta if beta is not None else 1.0)
-        level = CovarQuery(gamma, upsilon, spec).level
-        return (th / level) ** (1.0 / a), spec
-    if isinstance(dep, MarshallOlkin):
-        variant = dep.rates.variant
-        b = beta if beta is not None else (0.5 if variant == "equal" else 1.0 / 3.0)
-        return covar_asymptotic_mo(variant, a, th, b, upsilon, gamma), GSpec(b)
-    rho = float(dep.sigma.entries[0, 1])
-    spec = g if g is not None else gauss_level_function(rho, a)
-    return covar_asymptotic_gauss(a, th, rho, upsilon, gamma, spec), spec
+    case, forms = _bivariate_forms(model)
+    if case == CASE_IID:
+        if g is None:
+            g = forms.g if beta is None else GSpec(beta)
+        level = CovarQuery(gamma, upsilon, g).level
+        return (th / level) ** (1.0 / a), g
+    if case == CASE_GAUSS:
+        g = forms.g if g is None else g
+        return covar_asymptotic_gauss(a, th, forms.rho, upsilon, gamma, g), g
+    b = forms.g.beta if beta is None else beta
+    return covar_asymptotic_mo(model.dependence.rates.variant, a, th, b,
+                               upsilon, gamma), GSpec(b)
 
 
 def gaussian_covar_exact(alpha: float, theta: float, rho: float,
@@ -400,22 +385,75 @@ def eci_analytic_model(model: RiskModel) -> EciReport:
     so the table is exact in floating point; :func:`eci` applied to the
     reported cone indices agrees to rounding.
     """
-    if model.d != 2:
-        raise DomainError("analytic ECI is bivariate")
-    a = model.margin.alpha
+    return _bivariate_forms(model)[1].eci
+
+
+@dataclass(frozen=True)
+class _CaseForms:
+    """Closed forms of one asymptotic case: the joint-exceedance cone's index
+    ``alpha2`` and inverse scale ``b2_inv``, the level function ``g`` keeping
+    CoVaR of VaR's order, the ECI, and rho_star (Gaussian case only)."""
+
+    alpha2: float
+    b2_inv: PowerLog
+    g: GSpec
+    eci: EciReport
+    rho: Optional[float] = None
+
+
+def gauss_constant_c(rho: float, alpha: float) -> float:
+    return (2.0 * math.pi) ** (-1.0 / (1.0 + rho)) * (2.0 * alpha) ** (rho / (1.0 + rho))
+
+
+def _family_case(model: RiskModel) -> str:
+    """The disjoint-assets case of a model's dependence family; ModelError
+    for the general Marshall-Olkin variant or an unknown family."""
     dep = model.dependence
     if isinstance(dep, Iid):
-        return EciReport(1.0, 1.0, a, 2.0 * a)
+        return CASE_IID
     if isinstance(dep, MarshallOlkin):
-        variant = dep.rates.variant
-        if variant == "equal":
-            return EciReport(2.0, 0.5, a, 1.5 * a)
-        if variant == "proportional":
-            return EciReport(3.0, 1.0 / 3.0, a, 4.0 * a / 3.0)
-        raise ModelError("analytic ECI requires the equal or proportional variant")
-    rho = float(dep.sigma.entries[0, 1])
-    return EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
-                     a, 2.0 * a / (1.0 + rho))
+        return _CASE_MO + mo_variant(dep.rates.variant)
+    if isinstance(dep, Gaussian):
+        return CASE_GAUSS
+    raise ModelError(f"unsupported dependence {type(dep).__name__}")
+
+
+def _case_forms(case: str, alpha: float, theta: float, d: int,
+                rho: Optional[float] = None) -> _CaseForms:
+    """The closed forms of ``case`` for Pareto(alpha, theta) risks on d
+    assets, at rho_star = ``rho`` in the Gaussian case."""
+    a, th = alpha, theta
+    if case == CASE_GAUSS:
+        a2 = 2.0 * a / (1.0 + rho)
+        cc = gauss_constant_c(rho, a)
+        return _CaseForms(
+            a2, PowerLog(c=cc * th ** (-2.0 / (1.0 + rho)), a=a2,
+                         p=rho / (1.0 + rho), kappa=0.0, lam=1.0),
+            gauss_level_function(rho, a),
+            EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
+                      a, 2.0 * a / (1.0 + rho)), rho)
+    if case == CASE_OVERLAP:
+        a2, g, eci = a, GSpec(0.0), EciReport(math.inf, 0.0, a, a)
+    elif case == CASE_IID:
+        a2, g, eci = 2.0 * a, GSpec(1.0), EciReport(1.0, 1.0, a, 2.0 * a)
+    elif case in (CASE_MO_EQUAL, CASE_MO_PROP):
+        variant = case.removeprefix(_CASE_MO)
+        a2, eta = mo_alpha_i(variant, a, d, 2), mo_max_exponent(variant, d)
+        g = GSpec(eta)
+        eci = EciReport(mo_max_exponent_inverse(variant, d), eta, a, a2)
+    else:
+        raise DispatchError(f"unknown case {case!r}")
+    return _CaseForms(a2, PowerLog(c=th ** (-a2 / a), a=a2), g, eci)
+
+
+def _bivariate_forms(model: RiskModel) -> tuple:
+    """``(case, forms)`` of a bivariate risk model: the d = 2 network with
+    one asset per agent, at rho_star = sigma_12."""
+    if model.d != 2:
+        raise DomainError("closed forms of a risk model are bivariate")
+    case, dep, m = _family_case(model), model.dependence, model.margin
+    rho = float(dep.sigma.entries[0, 1]) if case == CASE_GAUSS else None
+    return case, _case_forms(case, m.alpha, m.theta, 2, rho)
 
 
 def check_eci_grid(gamma_grid: Sequence[float]) -> list:

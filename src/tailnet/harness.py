@@ -255,13 +255,11 @@ class _TopRows:
     """
 
     def __init__(self, k: int, n: int):
-        self.k, self.n, self.cap = k, n, min(2 * k, n)
-        self.y1 = self.y2 = None
+        self.k, self.cap = k, min(2 * k, n)
+        self.y1, self.y2 = np.empty(self.cap), np.empty(self.cap)
         self.size = 0
 
     def add(self, rows: np.ndarray) -> None:
-        if self.y1 is None:
-            self.y1, self.y2 = np.empty(self.cap), np.empty(self.cap)
         if self.size + len(rows) > self.cap:
             cut = self.size - self.k
             keep = np.argpartition(self.y2[:self.size], cut)[cut:]
@@ -273,14 +271,12 @@ class _TopRows:
         self.size = stop
 
     def columns(self) -> tuple:
-        """(y1, y2) of the whole sample when every row was kept; else of the
-        kept rows with y2 at or above the k-th largest (the top k and the
-        rows tied with the smallest of them)."""
-        if self.y1 is None:
-            return np.empty(0), np.empty(0)
+        """(y1, y2) of the kept rows with y2 at or above the k-th largest
+        (the top k and the rows tied with the smallest of them), or of all
+        of them when there are at most k."""
         y1, y2 = self.y1[:self.size], self.y2[:self.size]
         cut = self.size - self.k
-        if cut <= 0 or self.size == self.n:
+        if cut <= 0:
             return y1, y2
         top = y2 >= np.partition(y2, cut)[cut]
         return y1[top], y2[top]
@@ -301,9 +297,6 @@ def top_loss_rows(scenario: Scenario, law, gamma: float,
     n = scenario.study.mc_budget
     per = n // N_BATCHES
     k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
-    # from gamma ~ 1/2 on, the kept rows are the whole sample in row order,
-    # and the batches are its slices
-    whole = 2 * k_all >= n
     kernel = loss_blocks(scenario, law, z_stream, a_stream)
     # a kernel without a score (network losses) scores by its losses
     score = getattr(kernel, "score", kernel)
@@ -311,12 +304,10 @@ def top_loss_rows(scenario: Scenario, law, gamma: float,
 
     def tops(b, size):
         rows = score(b, size)
-        if whole:
-            return finish(rows), []
-        pieces = _batch_cuts(b * rng.BLOCK_SIZE, size, n)
         return (_top_scored_rows(rows, k_all, finish),
                 [(batch, _top_scored_rows(rows[start:stop], k_batch, finish))
-                 for batch, start, stop in pieces])
+                 for batch, start, stop
+                 in _batch_cuts(b * rng.BLOCK_SIZE, size, n)])
 
     def merge(acc, part):
         acc[0].add(part[0])
@@ -326,11 +317,7 @@ def top_loss_rows(scenario: Scenario, law, gamma: float,
 
     kept = rng.fold_blocks(n, tops, merge, [_TopRows(k_all, n)] + [
         _TopRows(k_batch, per) for _ in range(N_BATCHES)], threads)
-    if not whole:
-        return [rows.columns() for rows in kept]
-    y1, y2 = kept[0].columns()
-    return [(y1, y2)] + [(y1[b * per:(b + 1) * per], y2[b * per:(b + 1) * per])
-                         for b in range(N_BATCHES)]
+    return [rows.columns() for rows in kept]
 
 
 def _covar_point(scenario: Scenario, pair: tuple, gamma: float, index: int,

@@ -7,6 +7,8 @@ problem whose active set is then confirmed by the KKT pass test
 and then grow only the sets tied at the minimum, one coordinate at a time;
 the mutual-independence test solves all 2^d principal submatrices in one
 stacked solve per chunk of each subset size.  Both refuse d > ``QP_DIM_CAP``.
+The Marshall-Olkin exponents, closed form in d, are decided here alone,
+behind one variant check (:func:`mo_variant`).
 Scale functions are carried symbolically in power-log form
 ``c * t**a * (kappa + lam*log t)**p`` so tests can compare coefficients
 exactly rather than sampling opaque closures.
@@ -351,13 +353,30 @@ def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
     return float(val)
 
 
+def mo_variant(variant: str) -> str:
+    """``variant`` if the Marshall-Olkin closed forms cover it (equal or
+    proportional); ModelError for the general variant."""
+    if variant not in ("equal", "proportional"):
+        raise ModelError("closed forms need the equal or proportional variant")
+    return variant
+
+
 def mo_alpha_i(variant: str, alpha: float, d: int, i: int) -> float:
     _check_cone_order(d, i)
-    if variant == "equal":
+    if mo_variant(variant) == "equal":
         return (2.0 - 2.0 ** (-(i - 1))) * alpha
-    if variant == "proportional":
-        return alpha * (2.0 * d - (d - i) / 2.0 ** (i - 1)) / (d + 1.0)
-    raise ModelError("cone data requires the equal or proportional variant")
+    return alpha * (2.0 * d - (d - i) / 2.0 ** (i - 1)) / (d + 1.0)
+
+
+def mo_max_exponent(variant: str, d: int) -> float:
+    """Exponent eta of the larger of two asset ratios in the cone-2 limit
+    measure: 1/2 (equal) or d / (2(d + 1)) (proportional)."""
+    return 0.5 if mo_variant(variant) == "equal" else d / (2.0 * (d + 1.0))
+
+
+def mo_max_exponent_inverse(variant: str, d: int) -> float:
+    """1 / eta, the ECI, as 2 or 2 + 2/d: 1.0 / eta rounds apart at d = 11."""
+    return 2.0 if mo_variant(variant) == "equal" else 2.0 + 2.0 / d
 
 
 def mo_cone_spec(variant: str, alpha: float, theta: float, d: int, i: int) -> ConeSpec:
@@ -376,13 +395,12 @@ def mo_mu(variant: str, alpha: float, d: int, i: int, rect: RectSet) -> float:
         raise DomainError("rectangle dimension does not match d")
     if len(rect.subset) < i:
         raise DomainError("rectangle must constrain at least i coordinates")
-    if variant not in ("equal", "proportional"):
-        raise ModelError("cone data requires the equal or proportional variant")
+    equal = mo_variant(variant) == "equal"
     if len(rect.subset) != i:
         return 0.0
     z = np.sort(np.asarray(rect.thresholds))[::-1]
     j = np.arange(1, i + 1)
-    if variant == "equal":
+    if equal:
         expo = alpha * 2.0 ** (-(j - 1.0))
     else:
         expo = alpha * (1.0 - (j - 1.0) / (d + 1.0)) * 2.0 ** (-(j - 1.0))

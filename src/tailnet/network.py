@@ -6,7 +6,8 @@ Agent losses are X_k = sum_j A_kj Z_j with A independent of Z.  Every
 operation is phrased for the two rows of a pair law; higher-q queries
 reduce to one by :func:`select_rows` or by a row reduction of A: the row
 sums of :func:`aggregate`, or agent k against the row maximum of the
-others in :func:`one_vs_max`.  Each case's closed forms sit in one record.
+others in :func:`one_vs_max`.  Each case's closed forms sit in one record,
+:mod:`tailnet.covar`'s, which the bivariate layer reads too.
 
 Moment terms over a random adjacency law are Monte Carlo estimates over
 ADJ_MC_DRAWS draws of the conditioned (no-trivial-row) law, with reported
@@ -27,22 +28,17 @@ import numpy as np
 
 from . import rng
 # ``sample`` stays importable here: bench/tracing.py wraps network.sample
-from .copula import (Gaussian, Iid, MarshallOlkin, RiskModel,  # noqa: F401
-                     block_sampler, sample)
-from .covar import EciReport, GSpec, gauss_level_function
+from .copula import Gaussian, RiskModel, block_sampler, sample  # noqa: F401
+from .covar import (CASE_GAUSS, CASE_IID, CASE_MO_EQUAL, CASE_MO_PROP,
+                    CASE_OVERLAP, EciReport, GSpec, _case_forms, _family_case,
+                    gauss_constant_c)
 from .errors import CapacityError, DispatchError, DomainError, ModelError
-from .mrv import PowerLog
+from .mrv import PowerLog, mo_max_exponent as _mo_max_exponent
 
 ADJ_MC_DRAWS = 100_000
 # Least P(agent row != 0) a random law may have when it is drawn: the
 # no-trivial-row redraw loop takes about 1 / P rounds.
 MIN_ROW_LIVE_PROB = 1e-6
-
-CASE_OVERLAP = "overlap"
-CASE_IID = "disjoint-iid"
-CASE_MO_EQUAL = "disjoint-mo-equal"
-CASE_MO_PROP = "disjoint-mo-proportional"
-CASE_GAUSS = "disjoint-gaussian"
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,21 +378,10 @@ def resolve_case(law: ALaw, model: RiskModel, k: int = 0, m: int = 1) -> str:
     prof = overlap_profile(law, model, k, m)
     if prof.overlap:
         return CASE_OVERLAP
-    dep = model.dependence
-    if isinstance(dep, Iid):
-        return CASE_IID
-    if isinstance(dep, MarshallOlkin):
-        variant = dep.rates.variant
-        if variant == "equal":
-            return CASE_MO_EQUAL
-        if variant == "proportional":
-            return CASE_MO_PROP
-        raise ModelError("disjoint asymptotics need the equal or proportional variant")
-    if isinstance(dep, Gaussian):
-        if prof.rho_star is None:
-            raise ModelError("no asset pair connects the two agents")
-        return CASE_GAUSS
-    raise ModelError(f"unsupported dependence {type(dep).__name__}")
+    case = _family_case(model)
+    if case == CASE_GAUSS and prof.rho_star is None:
+        raise ModelError("no asset pair connects the two agents")
+    return case
 
 
 def _check_case(case: str, law: ALaw, model: RiskModel) -> None:
@@ -497,15 +482,6 @@ def mu_bar_2_overlap(law: ALaw, model: RiskModel, x, **kw) -> MomentEstimate:
         **kw)
 
 
-def _mo_max_exponent(variant: str, d: int) -> float:
-    """Decay exponent carried by the larger of the two asset ratios."""
-    return 0.5 if variant == "equal" else d / (2.0 * (d + 1.0))
-
-
-def gauss_constant_c(rho: float, alpha: float) -> float:
-    return (2.0 * math.pi) ** (-1.0 / (1.0 + rho)) * (2.0 * alpha) ** (rho / (1.0 + rho))
-
-
 def _gauss_pair_mask(sigma: np.ndarray, rho: float) -> np.ndarray:
     d = sigma.shape[0]
     mask = np.abs(sigma - rho) <= 1e-12
@@ -570,77 +546,39 @@ def disjoint_mu_bar_2(law: ALaw, model: RiskModel, x, **kw) -> MomentEstimate:
                     * np.maximum(r1, r2) ** emax).sum(axis=(1, 2))
 
         return a_moment(law, fn, **kw)
-    rho = _case_forms(case, model, law).rho
+    rho = _pair_forms(case, model, law).rho
     return gauss_constant_d(law, model, rho, **kw).scaled(
         (x1 * x2) ** (-alpha / (1.0 + rho)))
 
 
-@dataclass(frozen=True)
-class _CaseForms:
-    """Closed forms of one asymptotic case: the joint-exceedance cone's index
-    ``alpha2`` and inverse scale ``b2_inv``, the level function ``g`` keeping
-    CoVaR of VaR's order, the ECI, and rho_star (Gaussian case only)."""
-
-    alpha2: float
-    b2_inv: PowerLog
-    g: GSpec
-    eci: EciReport
-    rho: Optional[float] = None
-
-
-def _case_forms(case: str, model: RiskModel,
-                law: Optional[ALaw] = None) -> _CaseForms:
-    a, th = model.margin.alpha, model.margin.theta
-    if case == CASE_GAUSS:
-        rho = overlap_profile(law, model).rho_star
-        a2 = 2.0 * a / (1.0 + rho)
-        cc = gauss_constant_c(rho, a)
-        return _CaseForms(
-            a2, PowerLog(c=cc * th ** (-2.0 / (1.0 + rho)), a=a2,
-                         p=rho / (1.0 + rho), kappa=0.0, lam=1.0),
-            gauss_level_function(rho, a),
-            EciReport((1.0 + rho) / (1.0 - rho), (1.0 - rho) / (1.0 + rho),
-                      a, 2.0 * a / (1.0 + rho)), rho)
-    if case == CASE_OVERLAP:
-        a2, g, eci = a, GSpec(0.0), EciReport(math.inf, 0.0, a, a)
-    elif case == CASE_IID:
-        a2, g, eci = 2.0 * a, GSpec(1.0), EciReport(1.0, 1.0, a, 2.0 * a)
-    elif case == CASE_MO_EQUAL:
-        a2 = 1.5 * a
-        g = GSpec(_mo_max_exponent("equal", model.d))
-        eci = EciReport(2.0, 0.5, a, 1.5 * a)
-    elif case == CASE_MO_PROP:
-        d = model.d
-        a2 = a * (3.0 * d + 2.0) / (2.0 * (d + 1.0))
-        g = GSpec(_mo_max_exponent("proportional", d))
-        eci = EciReport(2.0 + 2.0 / d, d / (2.0 * d + 2.0), a,
-                        a * (3.0 * d + 2.0) / (2.0 * (d + 1.0)))
-    else:
-        raise DispatchError(f"unknown case {case!r}")
-    return _CaseForms(a2, PowerLog(c=th ** (-a2 / a), a=a2), g, eci)
+def _pair_forms(case: str, model: RiskModel, law: Optional[ALaw] = None):
+    """The case record of an agent pair, at its rho_star if Gaussian."""
+    rho = overlap_profile(law, model).rho_star if case == CASE_GAUSS else None
+    return _case_forms(case, model.margin.alpha, model.margin.theta,
+                       model.d, rho)
 
 
 def network_alpha2(case: str, model: RiskModel,
                    law: Optional[ALaw] = None) -> float:
     """Regular-variation index of the joint-exceedance cone per case."""
-    return _case_forms(case, model, law).alpha2
+    return _pair_forms(case, model, law).alpha2
 
 
 def network_b2_inv(case: str, model: RiskModel,
                    law: Optional[ALaw] = None) -> PowerLog:
     """Inverse scale function of the joint-exceedance cone per case."""
-    return _case_forms(case, model, law).b2_inv
+    return _pair_forms(case, model, law).b2_inv
 
 
 def network_g(case: str, model: RiskModel, law: Optional[ALaw] = None) -> GSpec:
     """Level function keeping the case's CoVaR of VaR's order."""
-    return _case_forms(case, model, law).g
+    return _pair_forms(case, model, law).g
 
 
 def network_eci(case: str, model: RiskModel,
                 law: Optional[ALaw] = None) -> EciReport:
     """Closed-form extreme CoVaR index per case."""
-    return _case_forms(case, model, law).eci
+    return _pair_forms(case, model, law).eci
 
 
 def network_cond_prob(case: str, law: ALaw, model: RiskModel, x, t: float,
@@ -662,7 +600,7 @@ def network_cond_prob(case: str, law: ALaw, model: RiskModel, x, t: float,
         eta = _mo_max_exponent(model.dependence.rates.variant, model.d)
         return disjoint_mu_bar_2(law, model, (x1, x2), **kw).scaled(
             (theta * t ** -alpha) ** eta * x2 ** alpha / m2.value)
-    rho = _case_forms(case, model, law).rho
+    rho = _pair_forms(case, model, law).rho
     fac = (theta * t ** -alpha) ** ((1.0 - rho) / (1.0 + rho)) \
         * math.log(t) ** (-rho / (1.0 + rho)) \
         * x1 ** (-alpha / (1.0 + rho)) * x2 ** (alpha * rho / (1.0 + rho)) \
@@ -691,7 +629,7 @@ def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
                   **kw) -> NetworkCovar:
     """Asymptotic CoVaR displays per case; see :class:`NetworkCovar`."""
     _check_case(case, law, model)
-    forms = _case_forms(case, model, law)
+    forms = _pair_forms(case, model, law)
     alpha, theta = model.margin.alpha, model.margin.theta
     if not 0 < gamma < 1 or not upsilon > 0:
         raise DomainError("need gamma in (0, 1) and upsilon > 0")

@@ -133,8 +133,8 @@ def _parse_study(study: dict) -> StudyParams:
     vals = tuple(float(g) for g in grid)
     inc = all(a < b for a, b in zip(vals, vals[1:]))
     dec = all(a > b for a, b in zip(vals, vals[1:]))
-    if not (inc or dec):
-        raise ScenarioError("study.grid", "must be strictly monotone")
+    if not (inc or dec) or not np.all(np.isfinite(vals)):
+        raise ScenarioError("study.grid", "must be finite, strictly monotone")
     budget = int(_number(study, "mc_budget", "study", lo=0))
     if budget < 10_000:
         raise ScenarioError("study.mc_budget", "must be at least 10000")

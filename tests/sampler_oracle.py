@@ -41,9 +41,10 @@ def draw_base(net, g: np.random.Generator, n: int) -> np.ndarray:
 
 
 def draw_law(law, g: np.random.Generator, n: int) -> np.ndarray:
-    """:func:`draw_base` with the row sums of an ``AggregatedNetwork``."""
+    """:func:`draw_base` with the row reduction (sum or max) of an
+    ``AggregatedNetwork``."""
     if isinstance(law, AggregatedNetwork):
         a = draw_base(law.base, g, n)
-        return np.stack([a[:, list(law.rows_s), :].sum(axis=1),
-                         a[:, list(law.rows_t), :].sum(axis=1)], axis=1)
+        return np.stack([getattr(a[:, list(rows), :], law.op)(axis=1)
+                         for rows in (law.rows_s, law.rows_t)], axis=1)
     return draw_base(law, g, n)

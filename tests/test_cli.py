@@ -287,3 +287,15 @@ def test_empirical_eci_rejects_a_tail_grid_before_sampling(tmp_path, capsys,
     path = write(tmp_path, "tailgrid.json", doc)
     assert main(["eci", "--scenario", path, "--empirical"]) == 2
     assert "(0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [10.0, math.inf]])
+def test_non_finite_study_grid_exits_with_a_validation_error(tmp_path, capsys,
+                                                              grid):
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "iid", "d": 2},
+           "study": {"grid": grid, "mc_budget": 10_000, "seed": 1}}
+    path = write(tmp_path, "nan-grid.json", doc)
+    assert main(["tailprob", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "study.grid" in captured.err

@@ -355,3 +355,17 @@ def test_mo_survival_copula_values_up_to_the_cap(d, variant):
     u = np.random.default_rng(d).uniform(0.01, 0.9, d)
     assert tn.survival_copula(model, u) == \
         enumerated_mo_survival(model.dependence.rates, u)
+
+
+def test_general_mo_survival_copula_at_d12_is_quick():
+    import time
+    d = 12
+    rates = {frozenset(s): 0.5 + 0.25 * len(s) + 0.1 * min(s)
+             for size in range(1, d + 1)
+             for s in itertools.combinations(range(d), size)}
+    model = tn.RiskModel.marshall_olkin(d, "general", 1.0, rates=rates)
+    u = np.random.default_rng(d).uniform(0.01, 0.9, d)
+    t0 = time.perf_counter()
+    val = tn.survival_copula(model, u)
+    assert time.perf_counter() - t0 < 1.0
+    assert 0.0 < val < float(u.min())

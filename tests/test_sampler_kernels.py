@@ -102,3 +102,18 @@ def test_sample_losses_matches_oracle_at_one_and_two_threads():
     for threads in (1, 2):
         got = tn.sample_losses(net, model, n, seed=3, threads=threads)
         assert same_bytes(got, want), threads
+
+
+def test_draw_law_of_a_max_law_matches_the_oracle():
+    base = tn.BipartiteNetwork(
+        4, 3, np.array([[0.3, 0.0, 0.1], [0.0, 0.5, 0.0],
+                        [0.2, 0.2, 0.2], [0.05, 0.5, 0.5]]),
+        tn.WeightSpec("uniform", 0.5, 1.5))
+    n = rng.chunk_rows(12) * 2 + 1
+    laws = {op: AggregatedNetwork(base, (0,), (1, 2, 3), op)
+            for op in ("max", "sum")}
+    got = {op: _draw_law(agg, rng.philox_stream(6, 2), n)
+           for op, agg in laws.items()}
+    want = draw_law(laws["max"], rng.philox_stream(6, 2), n)
+    assert same_bytes(got["max"], want)
+    assert not same_bytes(got["sum"], want)

@@ -130,3 +130,11 @@ def test_parse_scenario_raises_only_tailnet_errors(field, value):
         parse_scenario(doc)
     except TailnetError:
         pass
+
+
+@pytest.mark.parametrize("grid", [[float("nan")], [10.0, float("inf")],
+                                  [-float("inf"), 1.0]])
+def test_non_finite_grid_value_is_a_parse_error(grid):
+    with pytest.raises(ScenarioError, match="study.grid"):
+        parse_scenario(base(study={"grid": grid, "mc_budget": 10_000,
+                                   "seed": 0}))
