@@ -15,7 +15,8 @@ import sys
 from dataclasses import replace
 
 from . import network as net
-from .copula import Gaussian, Iid, MarshallOlkin, sample
+from . import rng
+from .copula import Gaussian, Iid, MarshallOlkin, block_sampler
 from .covar import check_eci_grid, eci_analytic_model, eci_empirical
 from .errors import (DomainError, ModelError, ReliabilityError, ScenarioError,
                      TailnetError)
@@ -65,25 +66,36 @@ def _override_seed(scenario: Scenario, seed) -> Scenario:
     return replace(scenario, study=replace(scenario.study, seed=seed), raw=raw)
 
 
-def _emit(text: str, out) -> None:
+def _emit(text, out) -> None:
+    """Write ``text``, a string or an iterable of strings written in turn."""
+    parts = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
-def _cmd_sample(scenario: Scenario, args) -> str:
-    study = scenario.study
+def _cmd_sample(scenario: Scenario, args):
+    """The CSV of :func:`copula.sample`'s draws in parts, block by block."""
+    study, d = scenario.study, scenario.model.d
     n = args.n if args.n is not None else \
         (study.mc_budget if study else 10_000)
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
     # without a study section, --seed is the only seed
     seed = study.seed if study else (args.seed or 0)
-    z = sample(scenario.model, n, seed, threads=args.threads)
-    header = ",".join(f"z{j + 1}" for j in range(scenario.model.d))
-    lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in z)
-    return "\n".join(lines) + "\n"
+    draw = rng.seeded(seed, rng.STREAM_RISK, block_sampler(scenario.model))
+
+    def parts():
+        yield ",".join(f"z{j + 1}" for j in range(d)) + "\n"
+        for b, size in rng.blocks(n):
+            z = draw(b, size)
+            for lo, hi in rng.row_chunks(size, d):
+                yield "".join(",".join(map(repr, row)) + "\n"
+                              for row in z[lo:hi].tolist())
+
+    return parts()
 
 
 def _cmd_qp(scenario: Scenario, args) -> str:
@@ -141,7 +153,8 @@ def _cmd_eci(scenario: Scenario, args) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _run(args) -> str:
+def _run(args):
+    """The command's output: a string, or for ``sample`` its parts."""
     scenario = _override_seed(load_scenario(args.scenario), args.seed)
     cmd = args.command
     if cmd == "sample":

@@ -30,7 +30,8 @@ from . import rng
 # ``sample`` stays importable here: bench/tracing.py wraps harness.sample
 from .copula import (SCORE_TOL, BlockKernel, Iid, MarshallOlkin,  # noqa: F401
                      RiskModel, block_sampler, identity, sample)
-from .covar import covar_asymptotic_model, covar_empirical, var_top_count
+from .covar import (GSpec, covar_asymptotic_model, covar_empirical,
+                    var_top_count)
 from .errors import DomainError, ReliabilityError
 from .mrv import RectSet, gaussian_tail_asymptotic, mo_cone_spec, mo_mu
 from .scenario import Scenario
@@ -130,6 +131,8 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     alpha, theta = model.margin.alpha, model.margin.theta
     d = model.d
     x = np.asarray(x, dtype=float)
+    if t * x.min() <= theta ** (1.0 / alpha):
+        raise DomainError("t too small: scaled thresholds below the margin floor")
     dep = model.dependence
     if isinstance(dep, Iid):
         return float(np.prod(theta * (t * x) ** -alpha))
@@ -192,6 +195,8 @@ def run_tail_study(scenario: Scenario, threads: int = 1) -> list:
         raise DomainError("scenario has no study section")
     if scenario.network is None and scenario.study.target == "cond":
         raise DomainError("conditional target needs a network scenario")
+    if scenario.study.target == "covar":
+        raise DomainError("covar target needs a covar study")
     return _run_points(_tail_point, scenario, threads)
 
 
@@ -218,6 +223,8 @@ def _covar_level(scenario: Scenario, pair: tuple, gamma: float) -> float:
                                       beta=study.beta)
     else:
         g = net.network_g(case, scenario.model, law)
+    if study.beta is not None and g != GSpec(study.beta):
+        raise DomainError(f"beta {study.beta} does not apply: g here is {g}")
     return study.upsilon * g(gamma)
 
 
@@ -247,39 +254,32 @@ def _top_scored_rows(score: np.ndarray, k: int, finish) -> np.ndarray:
 
 class _TopRows:
     """The rows with the ``k`` largest y2 values among the rows added so far
-    from an ``n``-row sample, held as (y1, y2) columns.
+    from an ``n``-row sample, held as (y1, y2) rows of one buffer.
 
-    Rows are buffered up to 2k (or n) and cut back to the top k when the
-    buffer is full, so n rows cost O(n) time in all and the buffer O(k)
-    memory.  Added parts hold at most k rows.
+    Rows are buffered up to 2k (or n) and cut back to the top k by
+    :func:`_top_rows` when the buffer is full, so n rows cost O(n) time in
+    all and the buffer O(k) memory.  Added parts hold at most k rows.
     """
 
     def __init__(self, k: int, n: int):
-        self.k, self.cap = k, min(2 * k, n)
-        self.y1, self.y2 = np.empty(self.cap), np.empty(self.cap)
-        self.size = 0
+        self.k, self.rows, self.size = k, np.empty((min(2 * k, n), 2)), 0
 
     def add(self, rows: np.ndarray) -> None:
-        if self.size + len(rows) > self.cap:
-            cut = self.size - self.k
-            keep = np.argpartition(self.y2[:self.size], cut)[cut:]
-            for col in (self.y1, self.y2):
-                col[:self.k] = col[keep]
+        if self.size + len(rows) > len(self.rows):
+            self.rows[:self.k] = _top_rows(self.rows[:self.size], self.k)
             self.size = self.k
-        stop = self.size + len(rows)
-        self.y1[self.size:stop], self.y2[self.size:stop] = rows[:, 0], rows[:, 1]
-        self.size = stop
+        self.rows[self.size:self.size + len(rows)] = rows
+        self.size += len(rows)
 
     def columns(self) -> tuple:
         """(y1, y2) of the kept rows with y2 at or above the k-th largest
         (the top k and the rows tied with the smallest of them), or of all
         of them when there are at most k."""
-        y1, y2 = self.y1[:self.size], self.y2[:self.size]
+        rows = self.rows[:self.size]
         cut = self.size - self.k
-        if cut <= 0:
-            return y1, y2
-        top = y2 >= np.partition(y2, cut)[cut]
-        return y1[top], y2[top]
+        if cut > 0:
+            rows = rows[rows[:, 1] >= np.partition(rows[:, 1], cut)[cut]]
+        return rows[:, 0], rows[:, 1]
 
 
 def top_loss_rows(scenario: Scenario, law, gamma: float,

@@ -214,9 +214,7 @@ def _subset_qp_cache(m: np.ndarray):
 
     def get(subset) -> QpSolution:
         if subset not in cache:
-            cache[subset] = solve_qp(_principal(m, subset)) \
-                if len(subset) > 1 else \
-                QpSolution((0,), np.ones(1), 1.0, np.ones(1))
+            cache[subset] = solve_qp(_principal(m, subset))
         return cache[subset]
 
     return get

@@ -4,10 +4,10 @@ probabilities, CoVaR rates, and the extreme CoVaR index.
 
 Agent losses are X_k = sum_j A_kj Z_j with A independent of Z.  Every
 operation is phrased for the two rows of a pair law; higher-q queries
-reduce to one by :func:`select_rows` or by a row reduction of A: the row
-sums of :func:`aggregate`, or agent k against the row maximum of the
-others in :func:`one_vs_max`.  Each case's closed forms sit in one record,
-:mod:`tailnet.covar`'s, which the bivariate layer reads too.
+reduce to one by row reductions of A, which compose: :func:`select_rows`,
+the row sums of :func:`aggregate`, or agent k against the row maximum of
+the others in :func:`one_vs_max`.  Each case's closed forms sit in one
+record, :mod:`tailnet.covar`'s, which the bivariate layer reads too.
 
 Moment terms over a random adjacency law are Monte Carlo estimates over
 ADJ_MC_DRAWS draws of the conditioned (no-trivial-row) law, with reported
@@ -105,9 +105,9 @@ class AdjacencyMatrix:
 @dataclass(frozen=True, eq=False)
 class AggregatedNetwork:
     """Random two-row law (op_{k in S} a_k, op_{m in T} a_m) of the rows of
-    a random base network, with ``op`` the row sum or the row max."""
+    a random law (a network or a reduction), ``op`` the row sum or max."""
 
-    base: BipartiteNetwork
+    base: "ALaw"
     rows_s: tuple
     rows_t: tuple
     op: str = "sum"
@@ -115,6 +115,10 @@ class AggregatedNetwork:
     def __post_init__(self):
         if self.op not in ("sum", "max"):
             raise ModelError(f"unknown row reduction {self.op!r}")
+        q, _ = law_shape(self.base)
+        if not all(rows and all(0 <= i < q for i in rows)
+                   for rows in (self.rows_s, self.rows_t)):
+            raise ModelError(f"reduced row sets must be nonempty in 0..{q - 1}")
 
 
 ALaw = Union[AdjacencyMatrix, BipartiteNetwork, AggregatedNetwork, np.ndarray]
@@ -124,7 +128,7 @@ def law_shape(law: ALaw):
     if isinstance(law, BipartiteNetwork):
         return law.q, law.d
     if isinstance(law, AggregatedNetwork):
-        return 2, law.base.d
+        return 2, law_shape(law.base)[1]
     m = law.entries if isinstance(law, AdjacencyMatrix) else np.asarray(law)
     return m.shape
 
@@ -145,7 +149,7 @@ def support(law: ALaw) -> np.ndarray:
     if isinstance(law, BipartiteNetwork):
         return law.edge_prob > 0
     if isinstance(law, AggregatedNetwork):
-        base = law.base.edge_prob > 0
+        base = support(law.base)
         return np.vstack([base[list(law.rows_s)].any(axis=0),
                           base[list(law.rows_t)].any(axis=0)])
     return law_matrix(law) > 0
@@ -157,9 +161,7 @@ def select_rows(law: ALaw, k: int, m: int) -> ALaw:
         raise DomainError("need two distinct agent rows")
     if isinstance(law, BipartiteNetwork):
         return BipartiteNetwork(2, law.d, law.edge_prob[[k, m], :], law.weights)
-    if isinstance(law, AggregatedNetwork):
-        raise DomainError("aggregated laws are already two-row")
-    return AdjacencyMatrix(law_matrix(law)[[k, m], :])
+    return _row_reduction(law, [k], [m], "sum")      # one-row sums are exact
 
 
 def _fold_columns(op, mask: np.ndarray) -> np.ndarray:
@@ -235,7 +237,7 @@ def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndar
 
 
 def _reduce(law: AggregatedNetwork, a: np.ndarray) -> np.ndarray:
-    """Draws of ``law`` from draws ``a`` of its base network."""
+    """Draws of ``law`` from draws ``a`` of its base law."""
     return np.stack([getattr(a[:, list(rows), :], law.op)(axis=1)
                      for rows in (law.rows_s, law.rows_t)], axis=1)
 
@@ -253,7 +255,7 @@ def _draw_law(law: ALaw, g: np.random.Generator, n: int) -> np.ndarray:
     if is_deterministic(law):
         return np.broadcast_to(law_matrix(law), (n,) + law_matrix(law).shape)
     if isinstance(law, AggregatedNetwork):
-        return _reduce(law, _draw_base(law.base, g, n))
+        return _reduce(law, _draw_law(law.base, g, n))
     return _draw_base(law, g, n)
 
 
@@ -274,7 +276,8 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     over the whole sample.
 
     A random law's block is one pass over the :func:`_draw_exposures` row
-    chunks, each chunk's risk rows drawn by the model's kernel on that chunk
+    chunks of the network its reductions start from (they apply innermost
+    first), each chunk's risk rows drawn by the model's kernel on that chunk
     (a kernel without a ``row_width`` scores the block whole and finishes it
     by chunk), so no ``(size, q, d)`` array is held.  The losses of the
     matrices with an all-zero agent row are recomputed from their kept risk
@@ -287,12 +290,15 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
         draw_z = rng.seeded(seed, z_stream, kernel)
         m_t = law_matrix(law).T
         return lambda b, size: draw_z(b, size) @ m_t
-    base = law.base if isinstance(law, AggregatedNetwork) else law
+    chain, base = [], law           # the reductions, outermost first
+    while isinstance(base, AggregatedNetwork):
+        chain.append(base)
+        base = base.base
     width = max(base.q * d, kernel.row_width or d)
 
     def losses(a, z):
-        if isinstance(law, AggregatedNetwork):
-            a = _reduce(law, a)
+        for red in reversed(chain):
+            a = _reduce(red, a)
         return np.einsum("nqd,nd->nq", a, z)
 
     def draw(b, size):
@@ -359,9 +365,7 @@ class OverlapProfile:
 
 def overlap_profile(law: ALaw, model: Optional[RiskModel] = None,
                     k: int = 0, m: int = 1) -> OverlapProfile:
-    q, _ = law_shape(law)
-    pair = law if (k, m) == (0, 1) and q == 2 else select_rows(law, k, m)
-    supp = support(pair)
+    supp = support(select_rows(law, k, m))
     shares = bool(np.any(supp[0] & supp[1]))
     rho_vee = rho_star = None
     if model is not None and isinstance(model.dependence, Gaussian):
@@ -673,12 +677,8 @@ def aggregate(law: ALaw, agents_s, agents_t) -> ALaw:
     q, _ = law_shape(law)
     s = sorted(set(int(i) for i in agents_s))
     t = sorted(set(int(i) for i in agents_t))
-    if not s or not t:
-        raise DomainError("agent subsets must be nonempty")
-    if any(i < 0 or i >= q for i in s + t):
-        raise DomainError("agent index out of range")
-    if isinstance(law, AggregatedNetwork):
-        raise DomainError("aggregating an aggregate is not supported")
+    if not s or not t or not all(0 <= i < q for i in s + t):
+        raise DomainError(f"agent subsets must be nonempty in 0..{q - 1}")
     return _row_reduction(law, s, t, "sum")
 
 
@@ -712,15 +712,9 @@ def one_vs_max(law: ALaw, model: RiskModel, k: int, x, t: float,
     q, _ = law_shape(law)
     if not 0 <= k < q or q < 2:
         raise DomainError("need q >= 2 and a valid agent index")
-    if isinstance(law, AggregatedNetwork):
-        # already two rows: the other row is the maximum of the others
-        rows = (law.rows_s, law.rows_t)
-        pair, swap = (AggregatedNetwork(law.base, rows[i], rows[1 - i], law.op)
-                      for i in (k, 1 - k))
-    else:
-        others = [m for m in range(q) if m != k]
-        pair = _row_reduction(law, [k], others, "max")
-        swap = _row_reduction(law, others, [k], "max")
+    others = [m for m in range(q) if m != k]
+    pair = _row_reduction(law, [k], others, "max")
+    swap = _row_reduction(law, others, [k], "max")
     case = resolve_case(pair, model)
     x1, x2 = _pair_thresholds(x)
     mu_bar_2 = mu_bar_2_overlap if case == CASE_OVERLAP else disjoint_mu_bar_2

@@ -22,7 +22,7 @@ Stream ids used by the package (all under one user-facing seed):
    2  adjacency-matrix sampling
    3  Monte Carlo moments of adjacency entries
    4  orthant-integration lattice shifts (fixed internal seed)
- 32+  study grid points (32 + point index)
+ 32+  study grid point i: risk 32 + 2i, adjacency 32 + 2i + 1
 ====  ==========================================
 
 An adjacency block of ``n`` exposure matrices of a q x d law is laid out in

@@ -299,3 +299,34 @@ def test_non_finite_study_grid_exits_with_a_validation_error(tmp_path, capsys,
     assert main(["tailprob", "--scenario", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "study.grid" in captured.err
+
+
+def test_sample_streams_the_bytes_of_the_whole_sample_csv(tmp_path):
+    # more rows than one rng block, so the rows are written block by block
+    import tailnet as tn
+    doc = {"margin": {"alpha": 1.3, "theta": 0.7},
+           "dependence": {"kind": "iid", "d": 1}}
+    path = write(tmp_path, "iid1.json", doc)
+    n = (1 << 20) + 3
+    out = tmp_path / "z.csv"
+    assert main(["sample", "--scenario", path, "--n", str(n), "--seed", "4",
+                 "--out", str(out)]) == 0
+    z = tn.sample(tn.RiskModel.iid(1, 1.3, 0.7), n, seed=4)
+    lines = ["z1"] + [",".join(repr(float(v)) for v in row) for row in z]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("dependence, n", [
+    ({"kind": "mo", "d": 17, "mo_variant": "equal"}, "10"),
+    ({"kind": "iid", "d": 2}, "0"),
+])
+def test_sample_is_refused_before_a_byte_is_written(tmp_path, capsys,
+                                                    dependence, n):
+    path = write(tmp_path, "bad.json", {"margin": {"alpha": 1.0, "theta": 1.0},
+                                        "dependence": dependence})
+    out = tmp_path / "never.csv"
+    assert main(["sample", "--scenario", path, "--n", n,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["sample", "--scenario", path, "--n", n]) == 2
+    assert capsys.readouterr().out == ""
