@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .copula import Gaussian, Iid, MarshallOlkin, RiskModel
@@ -334,8 +333,11 @@ def gaussian_covar_exact(alpha: float, theta: float, rho: float,
 
     Solves P(Y1 > y | Y2 > VaR_gamma) = level with the joint probability
     evaluated by the bivariate-normal quadrature oracle; exact up to the
-    quadrature tolerance, no Monte Carlo noise.
+    quadrature tolerance, no Monte Carlo noise.  ``scipy.optimize`` is
+    loaded on the first call.
     """
+    from scipy.optimize import brentq
+
     if not 0 < level < 1:
         raise DomainError("level must lie in (0, 1)")
     var2 = (theta / gamma) ** (1.0 / alpha)

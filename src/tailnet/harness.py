@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import network as net
 from . import rng
@@ -152,6 +151,9 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     n, cut = study.mc_budget, t * x
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
     draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
+    # a model point's closed form is cheap and may refuse its domain, so it
+    # comes before the draws; a network point's shares a moment draw
+    asym = _joint_tail_asymptotic_model(model, x, t) if law is None else None
 
     def counts(b, size):
         """[joint hits, marginal hits, joint hits per batch] of block b"""
@@ -175,11 +177,9 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     if study.target == "cond":
         emp = hits / m if m else math.nan
         se /= max(m / n, 1e-300)
-    if law is None:
-        asym = _joint_tail_asymptotic_model(model, x, t)
-    elif study.target == "cond":
+    if law is not None and study.target == "cond":
         asym = net.network_cond_prob(case, law, model, x, t).value
-    else:
+    elif law is not None:
         mu2 = (net.mu_bar_2_overlap(law, model, x)
                if case == net.CASE_OVERLAP
                else net.disjoint_mu_bar_2(law, model, x))
@@ -391,7 +391,10 @@ def run_covar_study(scenario: Scenario, threads: int = 1) -> list:
 def brute_force_qp(sigma, grid_step: float = 0.1, zmax: float = 3.0):
     """Independent minimizer of z' Sigma^{-1} z over z >= 1: coarse grid scan
     refined by bounded quasi-Newton descent (the objective is strictly
-    convex, so the refined minimum is global).  Test oracle only, d <= 5."""
+    convex, so the refined minimum is global).  Test oracle only, d <= 5;
+    ``scipy.optimize`` is loaded on the first call."""
+    from scipy.optimize import minimize
+
     m = np.asarray(sigma.entries if hasattr(sigma, "entries") else sigma,
                    dtype=float)
     d = m.shape[0]

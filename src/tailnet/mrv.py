@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import nnls
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
@@ -40,7 +39,7 @@ QP_DIM_CAP = 20
 QP_TOL = 1e-9
 BORDERLINE_TOL = 1e-9
 TIE_TOL = 1e-12
-STACK_CHUNK = 4096
+STACK_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,57 @@ def _qp_candidate(m: np.ndarray, idx: tuple, tol: float):
     e_star = np.ones(d)
     e_star[jj] = e_j
     return QpSolution(index_set=idx, e_star=e_star, gamma=float(h.sum()), h=h)
+
+
+def nnls(a: np.ndarray, b: np.ndarray):
+    """(y, |a y - b|) for y = argmin_{y >= 0} |a y - b|, a of full column rank.
+
+    Lawson-Hanson active-set method (Lawson & Hanson 1974, *Solving Least
+    Squares Problems*, ch. 23) on the normal equations.  The fixed
+    coordinate with the largest gradient component enters the free set; a
+    step that would take a free coordinate below zero stops where the first
+    one reaches zero, and that one leaves the free set.  A coordinate that
+    rounding would let in at a nonpositive value is passed over for that
+    step.  Fixed coordinates are exact zeros.  Raises RuntimeError after 3n
+    outer steps.
+    """
+    n = a.shape[1]
+    gram, rhs = a.T @ a, a.T @ b
+    tol = 10.0 * n * np.finfo(float).eps
+    y = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    w = rhs.copy()
+
+    def free_solve():
+        p = np.flatnonzero(free)
+        s = np.zeros(n)
+        s[p] = np.linalg.solve(gram[np.ix_(p, p)], rhs[p])
+        return s
+
+    for _ in range(3 * n):
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return y, float(np.linalg.norm(a @ y - b))
+        free[j] = True
+        s = free_solve()
+        if s[j] <= 0.0:
+            free[j], w[j] = False, -np.inf
+            continue
+        while True:
+            neg = np.flatnonzero(free & (s <= 0.0))
+            if neg.size == 0:
+                break
+            ratio = y[neg] / (y[neg] - s[neg])
+            k = int(np.argmin(ratio))
+            y += ratio[k] * (s - y)
+            free &= y > tol
+            free[neg[k]] = False
+            y[~free] = 0.0
+            s = free_solve()
+        y = s
+        w = rhs - gram @ y
+    raise RuntimeError("Maximum number of iterations reached.")
 
 
 def solve_qp(sigma, tol: float = QP_TOL) -> QpSolution:

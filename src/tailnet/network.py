@@ -105,7 +105,9 @@ class AdjacencyMatrix:
 @dataclass(frozen=True, eq=False)
 class AggregatedNetwork:
     """Random two-row law (op_{k in S} a_k, op_{m in T} a_m) of the rows of
-    a random law (a network or a reduction), ``op`` the row sum or max."""
+    a random law (a network or a reduction), ``op`` the row sum or max.  A
+    fixed matrix is reduced to a fixed matrix (:func:`_row_reduction`), so
+    it is refused as a base."""
 
     base: "ALaw"
     rows_s: tuple
@@ -115,6 +117,8 @@ class AggregatedNetwork:
     def __post_init__(self):
         if self.op not in ("sum", "max"):
             raise ModelError(f"unknown row reduction {self.op!r}")
+        if is_deterministic(self.base):
+            raise ModelError("a reduction's base must be a random law")
         q, _ = law_shape(self.base)
         if not all(rows and all(0 <= i < q for i in rows)
                    for rows in (self.rows_s, self.rows_t)):

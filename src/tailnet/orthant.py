@@ -18,9 +18,9 @@ Two routes are provided on purpose:
   - Minimax exponential tilting (Botev 2017, "The normal law under linear
     restrictions", JRSS-B 79:125): each conditional truncated normal is
     drawn with its mean shifted by mu_k and reweighted.  mu solves the
-    saddle-point equations of the log-weight psi(x, mu), which gives the
-    estimator bounded relative error in the deep tail.  If that solve fails
-    the estimator runs untilted (mu = 0).
+    saddle-point equations of the log-weight psi(x, mu) by Newton's method
+    (:func:`root`), which gives the estimator bounded relative error in the
+    deep tail.  If that solve fails the estimator runs untilted (mu = 0).
   - A log-space truncated-normal inverse (``ndtri_exp`` of ``log_ndtr``),
     with the weights summed as logs, so conditional probabilities below
     1e-300 neither clip nor underflow.
@@ -36,10 +36,9 @@ Both compute ``P(Y_j > lower_j for all j)`` for ``Y ~ N(0, sigma)``.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import root
 from scipy.special import log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from .errors import DomainError
@@ -53,12 +52,16 @@ _PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+ROOT_STEPS = 100     # Newton steps before the tilt solve gives up
+ROOT_XTOL = 1e-8     # converged once a full step is this small, relative
+
 
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
     """P(Y1 > h, Y2 > k) for standard bivariate normal with correlation rho.
 
     Uses the identity  P(Y1>h, Y2>k; rho) = Phi_bar(h) Phi_bar(k)
     + int_0^rho phi2(h, k; t) dt  with the bivariate normal density phi2.
+    ``scipy.integrate`` is loaded on the first call that integrates.
     """
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must lie in (-1, 1), got {rho}")
@@ -69,6 +72,7 @@ def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
     base = float(ndtr(-h) * ndtr(-k))
     if rho == 0.0:
         return base
+    from scipy.integrate import quad
 
     def integrand(t):
         om = 1.0 - t * t
@@ -133,12 +137,42 @@ def _tilt_equations(y, off, bound):
     return grad, jac
 
 
+def root(fun, x0, args=()):
+    """Solve F(x) = 0 by Newton's method, ``fun(x, *args)`` returning F and
+    its Jacobian.  Each step is halved until |F| falls (Armijo backtracking);
+    the solve has converged, with ``success`` set, once a full Newton step is
+    below ``ROOT_XTOL`` relative to x, and that last step is taken.  A
+    singular Jacobian, a step along which |F| does not fall, or
+    ``ROOT_STEPS`` steps end it unconverged."""
+    x = np.asarray(x0, dtype=float)
+    f, jac = fun(x, *args)
+    norm = float(np.linalg.norm(f))
+    for _ in range(ROOT_STEPS):
+        try:
+            step = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            break
+        if np.abs(step).max() <= ROOT_XTOL * (1.0 + np.abs(x).max()):
+            return SimpleNamespace(x=x - step, success=True)
+        t = 1.0
+        while t > 1e-9:
+            trial = x - t * step
+            f_trial, jac_trial = fun(trial, *args)
+            norm_trial = float(np.linalg.norm(f_trial))
+            if norm_trial <= (1.0 - 1e-4 * t) * norm:
+                break
+            t *= 0.5
+        else:
+            break
+        x, f, jac, norm = trial, f_trial, jac_trial, norm_trial
+    return SimpleNamespace(x=x, success=False)
+
+
 def _tilt(off, bound, means):
     """Minimax tilt mu (length d, mu_d = 0); zeros if the solve fails."""
     d = bound.size
     y0 = np.concatenate([means[:-1], means[:-1]])
-    sol = root(_tilt_equations, y0, args=(off, bound), jac=True,
-               method="hybr")
+    sol = root(_tilt_equations, y0, args=(off, bound))
     mu = np.zeros(d)
     if sol.success and np.all(np.isfinite(sol.x)):
         mu[:-1] = sol.x[d - 1:]
