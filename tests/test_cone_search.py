@@ -167,9 +167,10 @@ class TestMutualAi:
         assert tn.mutual_ai_gaussian(m) is (fails_at is None)
         assert tn.mutual_ai_gaussian(m) == loop_mutual_ai(m)
 
-    @pytest.mark.parametrize("chunk", [mrv.STACK_CHUNK, 3])
+    @pytest.mark.parametrize("chunk", [4096, 3])
     def test_random_matches_loop(self, corr_rng, monkeypatch, chunk):
-        # stacks of 3 put most subsets of a size past the first stack
+        # stacks of 4,096 (like the default 512) hold every subset of a size
+        # for d < 10 in one stack; stacks of 3 put most past the first stack
         monkeypatch.setattr(mrv, "STACK_CHUNK", chunk)
         for d in range(3, 10):
             for _ in range(6):
