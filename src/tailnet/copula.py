@@ -343,7 +343,7 @@ def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel
 
 
 def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
-           stream: int = rng.STREAM_RISK, mo_dim_cap: int = MO_DIM_CAP) -> np.ndarray:
+           mo_dim_cap: int = MO_DIM_CAP) -> np.ndarray:
     """Draw an (n, d) matrix of the risk vector, exact Pareto margins.
 
     Deterministic given (model, n, seed): the :func:`block_sampler` blocks
@@ -352,8 +352,8 @@ def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    return rng.sample_blocked(n, seed, stream, block_sampler(model, mo_dim_cap),
-                              threads=threads)
+    return rng.sample_blocked(n, seed, rng.STREAM_RISK,
+                              block_sampler(model, mo_dim_cap), threads=threads)
 
 
 def survival_copula(model: RiskModel, u, return_error: bool = False,

@@ -26,6 +26,8 @@ from .mrv import (PowerLog, mo_alpha_i, mo_max_exponent,
 from .orthant import bivariate_normal_survival
 
 MIN_EXCEEDANCES = 20
+ECI_BAND_FACTOR = 2.0
+ECI_MIN_POINTS = 4
 
 CASE_OVERLAP = "overlap"
 CASE_IID = "disjoint-iid"
@@ -470,12 +472,11 @@ def check_eci_grid(gamma_grid: Sequence[float]) -> list:
 
 
 def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
-                  band_factor: float = 2.0, min_points: int = 4,
                   n: Optional[int] = None) -> EciReport:
     """Slope-based ECI estimate.
 
     For each gamma, the largest level g_hat keeping the empirical CoVaR
-    within a factor ``band_factor`` of VaR_gamma(Y2) is the conditional
+    within a factor ``ECI_BAND_FACTOR`` of VaR_gamma(Y2) is the conditional
     exceedance frequency of VaR/band divided by upsilon; the decay exponent
     beta is the log-log regression slope and ECI its reciprocal.
 
@@ -492,18 +493,18 @@ def eci_empirical(y1, y2, gamma_grid: Sequence[float], upsilon: float,
         cond = y1[y2 > v]
         if cond.size < MIN_EXCEEDANCES:
             continue
-        hits = int((cond >= v / band_factor).sum())
+        hits = int((cond >= v / ECI_BAND_FACTOR).sum())
         if hits == 0:
             continue
         logs_g.append(math.log(hits / cond.size / upsilon))
         logs_gamma.append(math.log(gv))
-    if len(logs_g) < min_points:
+    if len(logs_g) < ECI_MIN_POINTS:
         raise ReliabilityError(
-            f"only {len(logs_g)} usable grid points (need {min_points})",
+            f"only {len(logs_g)} usable grid points (need {ECI_MIN_POINTS})",
             len(logs_g))
     slope = float(np.polyfit(logs_gamma, logs_g, 1)[0])
     if slope <= 1e-9:
         return EciReport(math.inf, max(slope, 0.0), math.nan, math.nan,
-                         band_factor, len(logs_g))
+                         ECI_BAND_FACTOR, len(logs_g))
     return EciReport(1.0 / slope, slope, math.nan, math.nan,
-                     band_factor, len(logs_g))
+                     ECI_BAND_FACTOR, len(logs_g))

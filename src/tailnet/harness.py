@@ -143,17 +143,33 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     return gaussian_tail_asymptotic(dep.sigma, alpha, theta, rect, t)
 
 
+def _tail_asymptotic(scenario: Scenario, pair: tuple, x, t: float) -> float:
+    """The closed form a tail point compares with: the model's joint tail,
+    or the agent pair's conditional or joint tail.  A network joint tail
+    outside the overlap case needs t > 1, as the conditional one does."""
+    model, (law, case) = scenario.model, pair
+    if law is None:
+        return _joint_tail_asymptotic_model(model, x, t)
+    if scenario.study.target == "cond":
+        return net.network_cond_prob(case, law, model, x, t).value
+    if case == net.CASE_OVERLAP:
+        mu2 = net.mu_bar_2_overlap(law, model, x)
+    elif not t > 1.0:
+        raise DomainError("t must exceed 1 for the decaying factor")
+    else:
+        mu2 = net.disjoint_mu_bar_2(law, model, x)
+    return mu2.value / float(net.network_b2_inv(case, model, law)(t))
+
+
 def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 threads: int = 1) -> StudyRow:
-    study, model = scenario.study, scenario.model
-    law, case = pair
+    study, model, law = scenario.study, scenario.model, pair[0]
     x = _thresholds(study, model.d if law is None else 2)
+    # the closed form may refuse its domain, so it comes before the draws
+    asym = _tail_asymptotic(scenario, pair, x, t)
     n, cut = study.mc_budget, t * x
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
     draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
-    # a model point's closed form is cheap and may refuse its domain, so it
-    # comes before the draws; a network point's shares a moment draw
-    asym = _joint_tail_asymptotic_model(model, x, t) if law is None else None
 
     def counts(b, size):
         """[joint hits, marginal hits, joint hits per batch] of block b"""
@@ -177,13 +193,6 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     if study.target == "cond":
         emp = hits / m if m else math.nan
         se /= max(m / n, 1e-300)
-    if law is not None and study.target == "cond":
-        asym = net.network_cond_prob(case, law, model, x, t).value
-    elif law is not None:
-        mu2 = (net.mu_bar_2_overlap(law, model, x)
-               if case == net.CASE_OVERLAP
-               else net.disjoint_mu_bar_2(law, model, x))
-        asym = mu2.value / float(net.network_b2_inv(case, model, law)(t))
     flag = "low-hits" if hits < MIN_HITS else ""
     return StudyRow(t, float(emp), se, float(asym), _ratio(emp, asym), flag)
 
@@ -388,11 +397,11 @@ def run_covar_study(scenario: Scenario, threads: int = 1) -> list:
     return _run_points(_covar_point, scenario, threads)
 
 
-def brute_force_qp(sigma, grid_step: float = 0.1, zmax: float = 3.0):
+def brute_force_qp(sigma, grid_step: float = 0.1):
     """Independent minimizer of z' Sigma^{-1} z over z >= 1: coarse grid scan
-    refined by bounded quasi-Newton descent (the objective is strictly
-    convex, so the refined minimum is global).  Test oracle only, d <= 5;
-    ``scipy.optimize`` is loaded on the first call."""
+    of [1, 3]^d refined by bounded quasi-Newton descent (the objective is
+    strictly convex, so the refined minimum is global).  Test oracle only,
+    d <= 5; ``scipy.optimize`` is loaded on the first call."""
     from scipy.optimize import minimize
 
     m = np.asarray(sigma.entries if hasattr(sigma, "entries") else sigma,
@@ -401,7 +410,7 @@ def brute_force_qp(sigma, grid_step: float = 0.1, zmax: float = 3.0):
     if d > 5:
         raise DomainError("brute-force oracle is capped at d = 5")
     prec = np.linalg.inv(m)
-    axes = [np.arange(1.0, zmax + grid_step / 2, grid_step)] * d
+    axes = [np.arange(1.0, 3.0 + grid_step / 2, grid_step)] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     vals = np.einsum("ni,ij,nj->n", mesh, prec, mesh)
     best = mesh[int(np.argmin(vals))]

@@ -26,7 +26,6 @@ from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import rng
 from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
@@ -228,7 +227,7 @@ def solve_qp(sigma, tol: float = QP_TOL) -> QpSolution:
     """
     m = _as_matrix(sigma)
     d = m.shape[0]
-    a = solve_triangular(np.linalg.cholesky(m), np.eye(d), lower=True)
+    a = np.linalg.inv(np.linalg.cholesky(m))
     try:
         y, _ = nnls(a, -a.sum(axis=1))
     except RuntimeError as err:
@@ -325,12 +324,11 @@ def gaussian_cone_spec(sigma, alpha: float, theta: float, i: int) -> ConeSpec:
                     argmin_sets=family, card_i=card_i)
 
 
-def upsilon_constant(sigma, qp: QpSolution) -> float:
-    """Prefactor of the Gaussian limit measure on one rectangle family:
-    (2 pi)^(-|I|/2) |Sigma_I|^(-1/2) prod_{s in I} h_s^{-1} times the
-    residual-orthant probability for the inactive coordinates.
-    """
-    m = _as_matrix(sigma) if not isinstance(sigma, np.ndarray) else sigma
+def upsilon_constant(m: np.ndarray, qp: QpSolution) -> float:
+    """Prefactor of the Gaussian limit measure on one rectangle family of
+    the correlation entries ``m``: (2 pi)^(-|I|/2) |Sigma_I|^(-1/2) times
+    prod_{s in I} h_s^{-1} and the residual-orthant probability for the
+    inactive coordinates."""
     ii = list(qp.index_set)
     jj = [j for j in range(m.shape[0]) if j not in qp.index_set]
     det_i = float(np.linalg.det(m[np.ix_(ii, ii)]))
@@ -391,7 +389,7 @@ def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
         return theta * (t * rect.thresholds[0]) ** (-alpha)
     sub = _principal(m, subset)
     qp = solve_qp(sub)
-    ups = upsilon_constant(sub, qp)
+    ups = upsilon_constant(sub.entries, qp)
     z = np.asarray(rect.thresholds)
     gam = qp.gamma
     card = len(qp.index_set)

@@ -633,8 +633,7 @@ class NetworkCovar:
 
 
 def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
-                  upsilon: float, var_gamma: Optional[float] = None,
-                  **kw) -> NetworkCovar:
+                  upsilon: float, **kw) -> NetworkCovar:
     """Asymptotic CoVaR displays per case; see :class:`NetworkCovar`."""
     _check_case(case, law, model)
     forms = _pair_forms(case, model, law)
@@ -642,8 +641,7 @@ def network_covar(case: str, law: ALaw, model: RiskModel, gamma: float,
     if not 0 < gamma < 1 or not upsilon > 0:
         raise DomainError("need gamma in (0, 1) and upsilon > 0")
     m2 = row_moment_sum(law, 1, alpha, **kw).value
-    if var_gamma is None:
-        var_gamma = (theta * m2 / gamma) ** (1.0 / alpha)
+    var_gamma = (theta * m2 / gamma) ** (1.0 / alpha)
     u = upsilon
     if case == CASE_OVERLAP:
         m1 = row_moment_sum(law, 0, alpha, **kw)

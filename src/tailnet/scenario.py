@@ -3,11 +3,14 @@ family, an optional network, and optional study parameters, so every run is
 reproducible from a single artifact.
 
 Validation errors name the offending field, or the section of a bad value.
+A number must be a finite JSON number, and a count, dimension, seed or agent
+index an integral one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
@@ -56,28 +59,32 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(doc, key, path, lo=None, hi=None):
+def _number(doc, key, path, lo=None, integral=False):
+    """``doc[key]`` as a float, or an int when ``integral``.  A value that is
+    not a finite JSON number, or not a whole one when ``integral``, raises
+    ValueError for :func:`_section` to report; one at or below ``lo`` is
+    refused under its field."""
     val = _need(doc, key, path)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ScenarioError(f"{path}.{key}", "must be a number")
+    if not isinstance(val, (int, float)) or isinstance(val, bool) \
+            or not math.isfinite(val) or integral and val != int(val):
+        raise ValueError(f"{path}.{key} = {val!r} is not a finite "
+                         + ("integer" if integral else "number"))
     if lo is not None and val <= lo:
         raise ScenarioError(f"{path}.{key}", f"must be > {lo}")
-    if hi is not None and val >= hi:
-        raise ScenarioError(f"{path}.{key}", f"must be < {hi}")
-    return float(val)
+    return int(val) if integral else float(val)
 
 
 def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
     kind = _need(dep, "kind", "dependence")
     try:
         if kind == "iid":
-            d = int(_number(dep, "d", "dependence", lo=0))
+            d = _number(dep, "d", "dependence", lo=0, integral=True)
             return RiskModel.iid(d, alpha, theta)
         if kind == "gaussian":
             sigma = np.asarray(_need(dep, "sigma", "dependence"), dtype=float)
             return RiskModel.gaussian(CorrelationMatrix(sigma), alpha, theta)
         if kind == "mo":
-            d = int(_number(dep, "d", "dependence", lo=0))
+            d = _number(dep, "d", "dependence", lo=0, integral=True)
             variant = _need(dep, "mo_variant", "dependence")
             rates = None
             if variant == "general":
@@ -85,7 +92,7 @@ def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
                 rates = {}
                 for key, val in raw.items():
                     coords = frozenset(int(c) - 1 for c in key.split(","))
-                    rates[coords] = float(val)
+                    rates[coords] = _number(raw, key, "dependence.rates")
             return RiskModel.marshall_olkin(d, variant, alpha, theta, rates)
     except ModelError as exc:
         raise ScenarioError("dependence", str(exc)) from exc
@@ -102,15 +109,15 @@ def _parse_network(net: dict, d_model: int):
             raise ScenarioError("network.matrix",
                                 f"needs {d_model} columns to match the model")
         return mat
-    q = int(_number(net, "q", "network", lo=0))
-    d = int(_number(net, "d", "network", lo=0))
+    q = _number(net, "q", "network", lo=0, integral=True)
+    d = _number(net, "d", "network", lo=0, integral=True)
     if d != d_model:
         raise ScenarioError("network.d", f"must equal the model dimension {d_model}")
     wraw = _need(net, "weights", "network")
     try:
         weights = WeightSpec(_need(wraw, "kind", "network.weights"),
-                             float(_need(wraw, "lo", "network.weights")),
-                             float(_need(wraw, "hi", "network.weights")))
+                             _number(wraw, "lo", "network.weights"),
+                             _number(wraw, "hi", "network.weights"))
         return BipartiteNetwork(q, d, np.asarray(_need(net, "edge_prob", "network")),
                                 weights)
     except ModelError as exc:
@@ -135,25 +142,25 @@ def _parse_study(study: dict) -> StudyParams:
     dec = all(a > b for a, b in zip(vals, vals[1:]))
     if not (inc or dec) or not np.all(np.isfinite(vals)):
         raise ScenarioError("study.grid", "must be finite, strictly monotone")
-    budget = int(_number(study, "mc_budget", "study", lo=0))
+    budget = _number(study, "mc_budget", "study", lo=0, integral=True)
     if budget < 10_000:
         raise ScenarioError("study.mc_budget", "must be at least 10000")
-    seed = int(_number(study, "seed", "study", lo=-1))
+    seed = _number(study, "seed", "study", lo=-1, integral=True)
     target = study.get("target", "joint")
     if target not in ("joint", "cond", "covar"):
         raise ScenarioError("study.target", f"unknown target {target!r}")
-    upsilon = float(study.get("upsilon", 0.5))
-    if not upsilon > 0:
-        raise ScenarioError("study.upsilon", "must be > 0")
+    upsilon = _number(study, "upsilon", "study", lo=0) \
+        if "upsilon" in study else 0.5
     beta = study.get("beta")
     if beta is not None:
-        beta = float(beta)
+        beta = _number(study, "beta", "study")
         if not beta >= 0:
             raise ScenarioError("study.beta", "must be >= 0")
-    thresholds = tuple(float(v) for v in study.get("thresholds", [1.0]))
-    if any(not v > 0 for v in thresholds):
-        raise ScenarioError("study.thresholds", "must be strictly positive")
-    agents = tuple(int(a) - 1 for a in study.get("agents", [1, 2]))
+    # list entries are read as a document keyed by index
+    xs = dict(enumerate(study.get("thresholds", [1.0])))
+    thresholds = tuple(_number(xs, i, "study.thresholds", lo=0) for i in xs)
+    xs = dict(enumerate(study.get("agents", [1, 2])))
+    agents = tuple(_number(xs, i, "study.agents", integral=True) - 1 for i in xs)
     if len(agents) != 2 or agents[0] == agents[1] or min(agents) < 0:
         raise ScenarioError("study.agents", "must name two distinct agents (1-based)")
     return StudyParams(vals, budget, seed, target, upsilon, beta,

@@ -330,3 +330,18 @@ def test_sample_is_refused_before_a_byte_is_written(tmp_path, capsys,
     assert not out.exists()
     assert main(["sample", "--scenario", path, "--n", n]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("doc, field", [
+    (malformed(dependence={"kind": "iid", "d": 2.9}), "dependence"),
+    (malformed(study={"seed": 3.7}), "study"),
+    (malformed(study={"thresholds": [math.inf]}), "study"),
+    (malformed(study={"upsilon": "0.5"}), "study"),
+])
+def test_misread_scenario_number_is_a_validation_error(tmp_path, capsys, doc,
+                                                      field):
+    path = write(tmp_path, "bad.json", doc)
+    assert main(["tailprob", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"validation error: {field}: ")

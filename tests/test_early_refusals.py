@@ -49,3 +49,25 @@ def test_reduction_over_a_fixed_matrix_is_refused(base):
     reduced = _row_reduction(base, (0,), (1,), "sum")
     assert isinstance(reduced, tn.AdjacencyMatrix)
     assert np.array_equal(reduced.entries, np.eye(2))
+
+
+MO_EQUAL_NETWORK = {
+    "margin": {"alpha": 1.0, "theta": 1.0},
+    "dependence": {"kind": "mo", "d": 4, "mo_variant": "equal"},
+    "network": {"q": 3, "d": 4,
+                "edge_prob": [[0.7, 0.7, 0.0, 0.0], [0.0, 0.0, 0.7, 0.7],
+                              [0.5, 0.5, 0.5, 0.5]],
+                "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}}
+
+
+@pytest.mark.parametrize("target", ["cond", "joint"])
+def test_network_tail_point_refuses_its_domain_before_drawing(monkeypatch,
+                                                             target):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the point drew before its closed form refused")
+
+    monkeypatch.setattr(rng, "fold_blocks", no_draws)
+    doc = dict(MO_EQUAL_NETWORK, study={"grid": [0.5], "mc_budget": 3_000_000,
+                                        "seed": 1, "target": target})
+    with pytest.raises(DomainError, match="t must exceed 1"):
+        run_tail_study(parse_scenario(doc))

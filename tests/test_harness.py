@@ -179,3 +179,38 @@ def test_random_law_moments_are_drawn_once_at_two_threads():
     tn.network._moment_draws.cache_clear()
     run_tail_study(sc, threads=2)
     assert tn.network._moment_draws.cache_info().misses == 1
+
+
+def mo_covar_pair(budget, grid):
+    """A disjoint Marshall-Olkin covar scenario, whose rows pick between a
+    low- and a high-upsilon branch, and its agent pair."""
+    sc = scenario_doc({"kind": "mo", "d": 2, "mo_variant": "equal"}, grid,
+                      budget=budget, network={"matrix": [[1.0, 0.0],
+                                                         [0.0, 1.0]]},
+                      target="covar")
+    return sc, tn.harness.study_pair(sc)
+
+
+def test_covar_point_without_an_estimate_leaves_the_branch_undecided():
+    # 1e4 draws keep about 10 rows above VaR at gamma = 1e-3, fewer than
+    # covar_empirical needs, so there is no estimate to pick a branch
+    sc, pair = mo_covar_pair(10_000, [1e-3])
+    row = tn.harness._covar_point(sc, pair, 1e-3, 0)
+    low = tn.network_covar(pair[1], pair[0], sc.model, 1e-3, 0.5).low_upsilon
+    assert np.isnan(row.empirical)
+    assert row.flag.startswith("low-hits:")
+    assert row.flag.endswith(";branch:undecided")
+    assert row.asymptotic == low.value
+
+
+def test_covar_point_between_the_branches_is_ambiguous(monkeypatch):
+    sc, pair = mo_covar_pair(10_000, [1e-2])
+    asym = tn.network_covar(pair[1], pair[0], sc.model, 1e-2, 0.5)
+    low, high = asym.low_upsilon.value, asym.high_upsilon.value
+    middle = (low * high) ** 0.5        # equally far from both in log
+    monkeypatch.setattr(tn.harness, "covar_empirical",
+                        lambda *args, **kwargs: middle)
+    row = tn.harness._covar_point(sc, pair, 1e-2, 0)
+    assert row.empirical == middle
+    assert row.flag == "branch:ambiguous"
+    assert row.asymptotic in (low, high)

@@ -138,3 +138,49 @@ def test_non_finite_grid_value_is_a_parse_error(grid):
     with pytest.raises(ScenarioError, match="study.grid"):
         parse_scenario(base(study={"grid": grid, "mc_budget": 10_000,
                                    "seed": 0}))
+
+
+RANDOM_LAW = {"q": 2, "d": 2, "edge_prob": 0.5,
+              "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}
+
+
+def with_study(**over):
+    return base(study=dict({"grid": [10.0], "mc_budget": 10_000, "seed": 1},
+                           **over))
+
+
+@pytest.mark.parametrize("doc", [
+    base(dependence={"kind": "iid", "d": 2.9}),
+    base(dependence={"kind": "mo", "d": 2.5, "mo_variant": "equal"}),
+    base(network=dict(RANDOM_LAW, q=2.5)),
+    with_study(seed=3.7),
+    with_study(mc_budget=10_000.9),
+    with_study(agents=[1.5, 2]),
+    with_study(agents=[True, 2]),
+    with_study(upsilon="0.5"),
+    with_study(upsilon=True),
+    with_study(upsilon=float("inf")),
+    with_study(beta="0.5"),
+    with_study(beta=True),
+    with_study(thresholds=[float("inf")]),
+    with_study(thresholds=[1.0, float("nan")]),
+    with_study(thresholds=["2"]),
+    base(network=dict(RANDOM_LAW, weights={"kind": "uniform", "lo": "0.5",
+                                           "hi": 1.5})),
+    base(network=dict(RANDOM_LAW, weights={"kind": "uniform", "lo": 0.5,
+                                           "hi": True})),
+    base(dependence={"kind": "mo", "d": 2, "mo_variant": "general",
+                     "rates": {"1": "1.0", "2": 2.0, "1,2": 0.5}}),
+])
+def test_numbers_must_be_finite_and_integral_where_counted(doc):
+    with pytest.raises(ScenarioError):
+        parse_scenario(doc)
+
+
+def test_integral_floats_read_as_integers():
+    doc = with_study(seed=3.0, mc_budget=20_000.0, agents=[2.0, 1])
+    doc["dependence"]["d"] = 2.0
+    sc = parse_scenario(doc)
+    assert sc.model.d == 2 and isinstance(sc.model.d, int)
+    assert (sc.study.seed, sc.study.mc_budget) == (3, 20_000)
+    assert sc.study.agents == (1, 0)

@@ -1,7 +1,7 @@
 """Start-up footprint: importing tailnet, its harness and its CLI loads
-numpy, ``scipy.special`` and ``scipy.linalg`` but not ``scipy.optimize`` or
-``scipy.integrate``; the three oracles that use those load them on their
-first call, and still return their values."""
+numpy and ``scipy.special`` but not ``scipy.linalg``, ``scipy.optimize`` or
+``scipy.integrate``; the three oracles that use the last two load them on
+their first call, and still return their values."""
 
 import json
 import os
@@ -42,3 +42,19 @@ def test_import_leaves_optimize_and_integrate_unloaded():
     assert 0.0 < p_joint < 0.3085375387259869     # below P(Y1 > 0.5)
     assert covar > (1.0 / 0.05)                   # beyond VaR_0.05
     assert abs(gamma - 2.0 / 1.3) < 1e-6          # 1' Sigma^{-1} 1
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    probe = ("import json, sys\n"
+             "import tailnet, tailnet.harness, tailnet.cli\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.startswith('scipy.'))))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    for name in ("scipy.linalg", "scipy.optimize", "scipy.integrate"):
+        assert name not in loaded
+    assert "scipy.special" in loaded
