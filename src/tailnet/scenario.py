@@ -3,8 +3,8 @@ family, an optional network, and optional study parameters, so every run is
 reproducible from a single artifact.
 
 Validation errors name the offending field, or the section of a bad value.
-A number must be a finite JSON number, and a count, dimension, seed or agent
-index an integral one.
+A number, a list or matrix entry too, must be a finite JSON number, and a
+count, dimension, seed or agent index an integral one.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .copula import CorrelationMatrix, RiskModel
 from .errors import ModelError, ScenarioError, TailnetError
@@ -74,6 +72,16 @@ def _number(doc, key, path, lo=None, integral=False):
     return int(val) if integral else float(val)
 
 
+def _numbers(doc, key, path):
+    """``doc[key]``, a number or nested lists of numbers, with every number
+    read by :func:`_number` (list entries as a document keyed by index)."""
+    val = _need(doc, key, path)
+    if not isinstance(val, list):
+        return _number(doc, key, path)
+    xs = dict(enumerate(val))
+    return [_numbers(xs, i, f"{path}.{key}") for i in xs]
+
+
 def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
     kind = _need(dep, "kind", "dependence")
     try:
@@ -81,8 +89,8 @@ def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
             d = _number(dep, "d", "dependence", lo=0, integral=True)
             return RiskModel.iid(d, alpha, theta)
         if kind == "gaussian":
-            sigma = np.asarray(_need(dep, "sigma", "dependence"), dtype=float)
-            return RiskModel.gaussian(CorrelationMatrix(sigma), alpha, theta)
+            sigma = CorrelationMatrix(_numbers(dep, "sigma", "dependence"))
+            return RiskModel.gaussian(sigma, alpha, theta)
         if kind == "mo":
             d = _number(dep, "d", "dependence", lo=0, integral=True)
             variant = _need(dep, "mo_variant", "dependence")
@@ -102,7 +110,7 @@ def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
 def _parse_network(net: dict, d_model: int):
     if "matrix" in net:
         try:
-            mat = AdjacencyMatrix(np.asarray(net["matrix"], dtype=float))
+            mat = AdjacencyMatrix(_numbers(net, "matrix", "network"))
         except ModelError as exc:
             raise ScenarioError("network.matrix", str(exc)) from exc
         if mat.entries.shape[1] != d_model:
@@ -118,7 +126,7 @@ def _parse_network(net: dict, d_model: int):
         weights = WeightSpec(_need(wraw, "kind", "network.weights"),
                              _number(wraw, "lo", "network.weights"),
                              _number(wraw, "hi", "network.weights"))
-        return BipartiteNetwork(q, d, np.asarray(_need(net, "edge_prob", "network")),
+        return BipartiteNetwork(q, d, _numbers(net, "edge_prob", "network"),
                                 weights)
     except ModelError as exc:
         raise ScenarioError("network", str(exc)) from exc
@@ -134,14 +142,14 @@ def _parse_study(study: dict) -> StudyParams:
     if grid is None:
         grid = list(DEFAULT_GAMMA_GRID if target_peek == "covar"
                     else DEFAULT_T_GRID)
-    if not isinstance(grid, list) or len(grid) < 1 or \
-            any(not isinstance(g, (int, float)) for g in grid):
+    if not isinstance(grid, list) or len(grid) < 1:
         raise ScenarioError("study.grid", "must be a nonempty list of numbers")
-    vals = tuple(float(g) for g in grid)
+    xs = dict(enumerate(grid))
+    vals = tuple(_number(xs, i, "study.grid") for i in xs)
     inc = all(a < b for a, b in zip(vals, vals[1:]))
     dec = all(a > b for a, b in zip(vals, vals[1:]))
-    if not (inc or dec) or not np.all(np.isfinite(vals)):
-        raise ScenarioError("study.grid", "must be finite, strictly monotone")
+    if not (inc or dec):
+        raise ScenarioError("study.grid", "must be strictly monotone")
     budget = _number(study, "mc_budget", "study", lo=0, integral=True)
     if budget < 10_000:
         raise ScenarioError("study.mc_budget", "must be at least 10000")

@@ -345,3 +345,20 @@ def test_misread_scenario_number_is_a_validation_error(tmp_path, capsys, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"validation error: {field}: ")
+
+
+@pytest.mark.parametrize("doc, field", [
+    (malformed(study={"grid": [True, 10]}), "study"),
+    (malformed(dependence={"kind": "gaussian",
+                           "sigma": [["1", "0.5"], ["0.5", "1"]]}),
+     "dependence"),
+    (malformed(network={"matrix": [[True, False], [False, True]]}), "network"),
+    (malformed(network=dict(RANDOM_NETWORK, edge_prob="0.5")), "network"),
+])
+def test_misread_list_number_exits_two_with_its_section(tmp_path, capsys, doc,
+                                                        field):
+    path = write(tmp_path, "bad.json", doc)
+    assert main(["tailprob", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"validation error: {field}: malformed value")

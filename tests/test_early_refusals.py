@@ -71,3 +71,22 @@ def test_network_tail_point_refuses_its_domain_before_drawing(monkeypatch,
                                         "seed": 1, "target": target})
     with pytest.raises(DomainError, match="t must exceed 1"):
         run_tail_study(parse_scenario(doc))
+
+
+OVERLAP_IID_NETWORK = {
+    "margin": {"alpha": 1.0, "theta": 1.0},
+    "dependence": {"kind": "iid", "d": 2},
+    "network": {"matrix": [[1.0, 0.5], [0.5, 1.0]]}}
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_overlap_joint_point_refuses_t_at_most_one_before_drawing(monkeypatch,
+                                                                  t):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the point drew before its closed form refused")
+
+    monkeypatch.setattr(rng, "fold_blocks", no_draws)
+    doc = dict(OVERLAP_IID_NETWORK, study={"grid": [t], "mc_budget": 10_000,
+                                           "seed": 1, "target": "joint"})
+    with pytest.raises(DomainError, match="t must exceed 1"):
+        run_tail_study(parse_scenario(doc))

@@ -354,3 +354,11 @@ class TestInactiveThresholdChoice:
             ratios.append(trip / pair)
         assert ratios[0] < ratios[1] < ratios[2] <= 1.0 + 1e-6
         assert ratios[2] > 0.8
+
+
+@pytest.mark.parametrize("model", [
+    tn.RiskModel.gaussian(tn.CorrelationMatrix.equicorrelation(2, 0.5), 1.0),
+    BernsteinMixture()], ids=["gaussian", "mixture"])
+def test_monte_carlo_ai_ratio_refuses_an_empty_sample(model):
+    with pytest.raises(DomainError, match="sample size"):
+        tn.empirical_ai_ratio(model, (0, 1), 1, [0.1], n=0, seed=0)

@@ -102,3 +102,18 @@ def test_block_runners_default_to_usable_cores_capped():
                rng.reduce_blocked):
         default = inspect.signature(fn).parameters["threads"].default
         assert default == rng.DEFAULT_THREADS
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_every_block_runner_refuses_an_empty_sample(n):
+    from tailnet.errors import DomainError
+
+    def work(b, size):
+        raise AssertionError("a block was drawn for an empty sample")
+
+    with pytest.raises(DomainError, match="sample size"):
+        rng.concat_blocks(n, work)
+    with pytest.raises(DomainError, match="sample size"):
+        rng.sample_blocked(n, 1, rng.STREAM_RISK, work)
+    with pytest.raises(DomainError, match="sample size"):
+        rng.reduce_blocked(n, 1, rng.STREAM_RISK, work, np.add, 0)

@@ -184,3 +184,25 @@ def test_integral_floats_read_as_integers():
     assert sc.model.d == 2 and isinstance(sc.model.d, int)
     assert (sc.study.seed, sc.study.mc_budget) == (3, 20_000)
     assert sc.study.agents == (1, 0)
+
+
+@pytest.mark.parametrize("doc, section", [
+    (with_study(grid=[True, 10]), "study"),
+    (with_study(grid=["10", 100]), "study"),
+    (with_study(grid=[[10, 100]]), "study"),
+    (base(dependence={"kind": "gaussian",
+                      "sigma": [["1", "0.5"], ["0.5", "1"]]}), "dependence"),
+    (base(dependence={"kind": "gaussian",
+                      "sigma": [[True, 0], [0, True]]}), "dependence"),
+    (base(network={"matrix": [["1", "0.5"], ["0.5", "1"]]}), "network"),
+    (base(network={"matrix": [[True, False], [False, True]]}), "network"),
+    (base(network=dict(RANDOM_LAW, edge_prob="0.5")), "network"),
+    (base(network=dict(RANDOM_LAW, edge_prob=[[True, True], [True, True]])),
+     "network"),
+    (base(network=dict(RANDOM_LAW, edge_prob=[[0.5, "0.5"], [0.5, 0.5]])),
+     "network"),
+])
+def test_lists_and_matrices_follow_the_number_rule(doc, section):
+    with pytest.raises(ScenarioError, match="malformed value") as info:
+        parse_scenario(doc)
+    assert info.value.path == section
