@@ -81,15 +81,15 @@ def _cmd_sample(scenario: Scenario, args):
     study, d = scenario.study, scenario.model.d
     n = args.n if args.n is not None else \
         (study.mc_budget if study else 10_000)
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
     # without a study section, --seed is the only seed
     seed = study.seed if study else (args.seed or 0)
+    # both refuse here, before the header is written
+    plan = rng.blocks(n)
     draw = rng.seeded(seed, rng.STREAM_RISK, block_sampler(scenario.model))
 
     def parts():
         yield ",".join(f"z{j + 1}" for j in range(d)) + "\n"
-        for b, size in rng.blocks(n):
+        for b, size in plan:
             z = draw(b, size)
             for lo, hi in rng.row_chunks(size, d):
                 yield "".join(",".join(map(repr, row)) + "\n"

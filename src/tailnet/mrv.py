@@ -3,10 +3,10 @@
 The Gaussian side is driven entirely by the box-constrained quadratic
 program min_{z >= 1} z' Sigma^{-1} z, solved as a nonnegative least-squares
 problem whose active set is then confirmed by the KKT pass test
-(:func:`solve_qp`).  The cone spectra solve the C(d, i) programs of size i
-and then grow only the sets tied at the minimum, one coordinate at a time;
-the mutual-independence test solves all 2^d principal submatrices in one
-stacked solve per chunk of each subset size.  Both refuse d > ``QP_DIM_CAP``.
+(:func:`solve_qp`).  The cone spectra solve only the C(d, i) programs of
+size i, since no larger set attains the minimum; the mutual-independence
+test solves all 2^d principal submatrices in one stacked solve per chunk of
+each subset size.  Both refuse d > ``QP_DIM_CAP``.
 The Marshall-Olkin exponents, closed form in d, are decided here alone,
 behind one variant check (:func:`mo_variant`).
 Scale functions are carried symbolically in power-log form
@@ -19,6 +19,7 @@ Index convention: coordinates are 0-based internally; serialized output
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -259,43 +260,29 @@ def _check_cone_order(d: int, i: int) -> None:
 
 
 def _subset_qp_cache(m: np.ndarray):
-    cache = {}
-
-    def get(subset) -> QpSolution:
-        if subset not in cache:
-            cache[subset] = solve_qp(_principal(m, subset))
-        return cache[subset]
-
-    return get
+    """Memoised QP solution of the principal submatrix of ``m`` on a subset."""
+    return functools.cache(lambda subset: solve_qp(_principal(m, subset)))
 
 
 def _gaussian_cone_data(m: np.ndarray, i: int):
     """gamma_i, the argmin family S_i, and |I_i| for cone order i >= 2.
 
-    The QP value only grows as coordinates are added (gamma(S) <= gamma(T)
-    for S within T, by the Schur complement), so gamma_i is attained at
-    |S| = i and every set tied at the minimum is reached from a tied size-i
-    set through tied sets.  Only the C(d, i) sets of size i and the
-    one-coordinate supersets of tied sets are solved; gamma_i, the family
-    and |I_i| are then taken over the visited sets as over all of them.
-    In exact arithmetic no superset ties (dropping an active coordinate of
-    a size-(i+1) set lowers its value), so the search stops after one level
-    unless values tie within ``TIE_TOL``.
+    gamma_i is the minimum of the QP value gamma(S) over |S| >= i, yet only
+    the C(d, i) sets of size i are solved, because no larger set attains it.
+    gamma grows under inclusion (Hashorva & Huesler 2003).  For |T| > i,
+    T's dual maximiser puts a positive multiplier on some coordinate k, and
+    the dual is strictly concave, so gamma(T - {k}) < gamma(T); monotonicity
+    then gives a size-i S within T - {k} with gamma(S) < gamma(T).  Dropping
+    a coordinate with a zero multiplier need not lower the value, even one
+    at its bound.  The family keeps the size-i sets within ``TIE_TOL`` of
+    gamma_i, in lexicographic order.
     """
     d = m.shape[0]
     _check_subset_cap(d)
     qp_of = _subset_qp_cache(m)
     gammas = {s: qp_of(s).gamma for s in combinations(range(d), i)}
-    cut = min(gammas.values()) * (1.0 + TIE_TOL)
-    frontier = [s for s, g in gammas.items() if g <= cut]
-    while frontier:
-        grown = sorted({tuple(sorted(s + (j,)))
-                        for s in frontier for j in range(d) if j not in s})
-        for t in grown:
-            gammas[t] = qp_of(t).gamma
-        frontier = [t for t in grown if gammas[t] <= cut]
     gamma_i = min(gammas.values())
-    family = tuple(s for s, g in sorted(gammas.items())
+    family = tuple(s for s, g in gammas.items()
                    if g <= gamma_i * (1.0 + TIE_TOL))
     card_i = min(len(qp_of(s).index_set) for s in family)
     return gamma_i, family, card_i, qp_of

@@ -71,10 +71,12 @@ DEFAULT_THREADS = max(1, min(_usable_cores(), MAX_DEFAULT_THREADS))
 
 
 def philox_stream(seed: int, stream: int, block: int = 0) -> np.random.Generator:
-    """Generator for one block of the (seed, stream) Philox stream."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    counter = np.array([0, 0, block & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    """Generator for one block of the (seed, stream) Philox stream.  A seed
+    outside [0, 2^64) is refused: the 64-bit key would alias it to another."""
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([0, 0, block, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
@@ -96,13 +98,12 @@ def positioned(g: np.random.Generator, offset: int) -> np.random.Generator:
 
 
 def blocks(n: int, block_size: int = BLOCK_SIZE):
-    """Yield ``(block_index, size)`` covering ``n`` draws."""
-    b = 0
-    while n > 0:
-        size = min(block_size, n)
-        yield b, size
-        n -= size
-        b += 1
+    """Iterator of ``(block_index, size)`` covering ``n`` draws.  A sample
+    size below 1 is refused here, at the call, before the first block."""
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    return ((b, min(block_size, n - lo))
+            for b, lo in enumerate(range(0, n, block_size)))
 
 
 def chunk_rows(row_width: int) -> int:
@@ -125,7 +126,8 @@ def row_chunks(n: int, row_width: int):
 
 def seeded(seed: int, stream: int, draw):
     """Block kernel ``(b, size) -> draw(generator of block b, size)`` on the
-    ``(seed, stream)`` stream."""
+    ``(seed, stream)`` stream.  A bad seed is refused here, not at block 0."""
+    philox_stream(seed, stream)
     return lambda b, size: draw(philox_stream(seed, stream, block=b), size)
 
 
@@ -137,12 +139,10 @@ def fold_blocks(n, work, combine, init, threads=DEFAULT_THREADS,
     The one block-execution primitive.  At most ``threads`` blocks are in
     flight (submitted and not yet folded), so memory stays O(threads
     blocks) for any ``n``, and the fold order does not depend on
-    ``threads``.  A sample size below 1 is refused.
+    ``threads``.  A sample size below 1 is refused (by :func:`blocks`).
     """
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    acc = init
     plan = blocks(n, block_size)
+    acc = init
     # in this thread: blocks drawn on pool threads raised peak RSS by 30%
     if threads <= 1 or n <= block_size:
         for b, size in plan:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .copula import CorrelationMatrix, RiskModel
 from .errors import ModelError, ScenarioError, TailnetError
-from .network import AdjacencyMatrix, BipartiteNetwork, WeightSpec
+from .network import AdjacencyMatrix, BipartiteNetwork, WeightSpec, law_shape
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,10 @@ DEFAULT_GAMMA_GRID = (1e-2, 1e-3, 1e-4)
 
 
 def _parse_study(study: dict) -> StudyParams:
-    target_peek = study.get("target", "joint")
+    target = study.get("target", "joint")
     grid = study.get("grid")
     if grid is None:
-        grid = list(DEFAULT_GAMMA_GRID if target_peek == "covar"
+        grid = list(DEFAULT_GAMMA_GRID if target == "covar"
                     else DEFAULT_T_GRID)
     if not isinstance(grid, list) or len(grid) < 1:
         raise ScenarioError("study.grid", "must be a nonempty list of numbers")
@@ -154,7 +154,6 @@ def _parse_study(study: dict) -> StudyParams:
     if budget < 10_000:
         raise ScenarioError("study.mc_budget", "must be at least 10000")
     seed = _number(study, "seed", "study", lo=-1, integral=True)
-    target = study.get("target", "joint")
     if target not in ("joint", "cond", "covar"):
         raise ScenarioError("study.target", f"unknown target {target!r}")
     upsilon = _number(study, "upsilon", "study", lo=0) \
@@ -193,8 +192,7 @@ def parse_scenario(doc: dict) -> Scenario:
         with _section("study"):
             study = _parse_study(doc["study"])
         if network is not None:
-            q = network.q if isinstance(network, BipartiteNetwork) \
-                else network.entries.shape[0]
+            q = law_shape(network)[0]
             if max(study.agents) >= q:
                 raise ScenarioError("study.agents", f"agent index exceeds q = {q}")
     return Scenario(model, network, study, raw=doc)

@@ -3,8 +3,7 @@
 :func:`scan_cone_data` solves the QP on every principal submatrix of size
 >= i (about 2^d of them) and takes gamma_i, the argmin family and |I_i|
 with the same expressions as :func:`tailnet.mrv._gaussian_cone_data`, which
-visits only the size-i sets and the supersets of tied ones; the two must
-agree to the bit.  :func:`loop_mutual_ai` solves one subset at a time, as
+solves only the size-i sets; the two must agree to the bit.  :func:`loop_mutual_ai` solves one subset at a time, as
 the stacked :func:`tailnet.mrv.mutual_ai_gaussian` must agree with.  Test
 helpers only.
 """

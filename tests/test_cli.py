@@ -362,3 +362,35 @@ def test_misread_list_number_exits_two_with_its_section(tmp_path, capsys, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"validation error: {field}: malformed value")
+
+
+def test_tailprob_refuses_a_seed_past_64_bits(tmp_path, capsys):
+    # 2^64 + 1 would key the stream of seed 1
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "iid", "d": 2},
+           "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1}}
+    path = write(tmp_path, "iid.json", doc)
+    assert main(["tailprob", "--scenario", path,
+                 "--seed", str((1 << 64) + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed" in captured.err
+
+
+def test_scenario_seed_past_64_bits_exits_two(tmp_path, capsys):
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "iid", "d": 2},
+           "study": {"grid": [10.0], "mc_budget": 10_000,
+                     "seed": (1 << 64) + 3}}
+    path = write(tmp_path, "iid.json", doc)
+    for cmd in ("tailprob", "sample"):
+        assert main([cmd, "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed" in captured.err
+
+
+def test_sample_refuses_a_negative_seed_and_an_empty_sample(tmp_path, capsys):
+    path = write(tmp_path, "iid.json", {"margin": {"alpha": 1.0, "theta": 1.0},
+                                        "dependence": {"kind": "iid", "d": 2}})
+    for extra in (["--seed", "-5"], ["--n", "0"]):
+        assert main(["sample", "--scenario", path] + extra) == 2
+        assert capsys.readouterr().out == ""

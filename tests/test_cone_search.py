@@ -91,8 +91,8 @@ class TestAgainstFullScan:
 
     def test_inactive_coordinate_grows_the_frontier(self, monkeypatch):
         # the argmin set (1, 2, 3, 4) at i = 4 leaves coordinate 2 inactive,
-        # so its superset is solved too; it does not tie, since dropping an
-        # active coordinate from a size-(i+1) set lowers the value
+        # yet its superset is not solved: dropping a coordinate with a
+        # positive multiplier from a size-(i+1) set lowers the value
         m = one_factor([0.05, -0.49, -0.97, -0.8, -0.61])
         sizes = []
         solve = mrv.solve_qp
@@ -104,7 +104,7 @@ class TestAgainstFullScan:
         monkeypatch.setattr(mrv, "solve_qp", counted)
         gamma_i, family, card_i, _ = mrv._gaussian_cone_data(m, 4)
         assert family == ((1, 2, 3, 4),) and card_i == 3
-        assert sizes.count(5) == 1
+        assert set(sizes) == {4}
         assert (gamma_i, family, card_i) == scan_cone_data(m, 4)[:3]
         assert_matches_scan(m, 4, full_scan())
 
@@ -226,3 +226,34 @@ class TestArgumentChecks:
         for call in calls:
             with pytest.raises(ModelError):
                 call()
+
+
+def assert_solves_only_size_i(m, monkeypatch):
+    """One search per order solves exactly the C(d, i) size-i programs and
+    gives the full scan's gamma_i, family and |I_i|."""
+    d, scan, solve, sizes = len(m), full_scan(), mrv.solve_qp, []
+
+    def counted(sigma, *args, **kwargs):
+        sizes.append(sigma.entries.shape[0])
+        return solve(sigma, *args, **kwargs)
+
+    for i in range(2, d + 1):
+        monkeypatch.setattr(mrv, "solve_qp", counted)
+        sizes.clear()
+        got = mrv._gaussian_cone_data(m, i)[:3]
+        monkeypatch.setattr(mrv, "solve_qp", solve)
+        assert sizes == [i] * math.comb(d, i)
+        assert got == scan.scan(m, i)[:3]
+
+
+class TestSizeIScanOnly:
+    def test_random_correlation_d3_to_10(self, corr_rng, monkeypatch):
+        for d in range(3, 11):
+            m = random_correlation(d, corr_rng).entries
+            assert_solves_only_size_i(m, monkeypatch)
+
+    def test_one_factor_mixed_signs_d3_to_10(self, monkeypatch):
+        g = np.random.default_rng(505)
+        for d in range(3, 11):
+            m = one_factor(g.uniform(0.2, 0.9, d) * g.choice([-1.0, 1.0], d))
+            assert_solves_only_size_i(m, monkeypatch)

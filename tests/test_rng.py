@@ -117,3 +117,23 @@ def test_every_block_runner_refuses_an_empty_sample(n):
         rng.sample_blocked(n, 1, rng.STREAM_RISK, work)
     with pytest.raises(DomainError, match="sample size"):
         rng.reduce_blocked(n, 1, rng.STREAM_RISK, work, np.add, 0)
+
+
+def test_philox_stream_refuses_a_seed_outside_64_bits():
+    from tailnet.errors import DomainError
+
+    for seed in (-1, 1 << 64):
+        with pytest.raises(DomainError, match="seed"):
+            rng.philox_stream(seed, rng.STREAM_RISK)
+    # the two ends of the key range are distinct streams
+    lo = rng.philox_stream(0, rng.STREAM_RISK).random(4)
+    hi = rng.philox_stream((1 << 64) - 1, rng.STREAM_RISK).random(4)
+    assert not np.array_equal(lo, hi)
+
+
+def test_blocks_refuses_an_empty_sample_when_called():
+    from tailnet.errors import DomainError
+
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="sample size must be >= 1"):
+            rng.blocks(n)
