@@ -126,7 +126,7 @@ def row_chunks(n: int, row_width: int):
 
 def seeded(seed: int, stream: int, draw):
     """Block kernel ``(b, size) -> draw(generator of block b, size)`` on the
-    ``(seed, stream)`` stream.  A bad seed is refused here, not at block 0."""
+    ``(seed, stream)`` stream; a seed outside 64 bits is refused at the call."""
     philox_stream(seed, stream)
     return lambda b, size: draw(philox_stream(seed, stream, block=b), size)
 
