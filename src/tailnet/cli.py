@@ -3,7 +3,9 @@
 Every subcommand reads one scenario JSON (see scenario.py) so a run is fully
 reproducible from a single artifact.  ``--out`` picks CSV or JSON by file
 extension; without it, results print to stdout.  Exit codes: 0 success,
-2 validation error, 3 reliability failure.
+2 validation error, 3 reliability failure.  An output that cannot be written
+(a missing directory, a closed pipe) exits 2 with ``error:``, after any study
+has run; a ``sample`` CSV may be left partial.
 """
 
 from __future__ import annotations
@@ -24,37 +26,6 @@ from .harness import (covar_rows_to_csv, rows_to_csv, run_covar_study,
                       run_tail_study, study_pair, study_to_json, top_loss_rows)
 from .mrv import mutual_ai_gaussian, pairwise_ai_gaussian, solve_qp
 from .scenario import Scenario, load_scenario
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tailnet",
-        description="Heavy-tailed dependence models and CoVaR asymptotics "
-                    "on bipartite risk networks")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("sample", "draw risk vectors and emit them as CSV"),
-            ("tailprob", "tail-probability study over the grid"),
-            ("qp", "solve the box-constrained quadratic program"),
-            ("check-ai", "pairwise/mutual asymptotic-independence verdicts"),
-            ("covar", "CoVaR study over the gamma grid"),
-            ("eci", "extreme CoVaR index (analytic, optionally empirical)"),
-            ("network-study", "network conditional-tail or CoVaR comparison")]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=True, help="scenario JSON path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the study seed")
-        p.add_argument("--out", default=None,
-                       help="output path; .csv or .json selects the format")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results do not depend on it")
-        if name == "sample":
-            p.add_argument("--n", type=int, default=None,
-                           help="number of draws (default: study mc_budget)")
-        if name == "eci":
-            p.add_argument("--empirical", action="store_true",
-                           help="add the slope-based empirical estimate")
-    return parser
 
 
 def _override_seed(scenario: Scenario, seed) -> Scenario:
@@ -153,23 +124,13 @@ def _cmd_eci(scenario: Scenario, args) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _run(args):
-    """The command's output: a string, or for ``sample`` its parts."""
-    scenario = _override_seed(load_scenario(args.scenario), args.seed)
-    cmd = args.command
-    if cmd == "sample":
-        return _cmd_sample(scenario, args)
-    if cmd == "qp":
-        return _cmd_qp(scenario, args)
-    if cmd == "check-ai":
-        return _cmd_check_ai(scenario, args)
-    if cmd == "eci":
-        return _cmd_eci(scenario, args)
-    network = cmd == "network-study"
+def _cmd_study(scenario: Scenario, args):
+    """``tailprob``, ``covar`` and ``network-study``: one study's CSV or JSON."""
+    network = args.command == "network-study"
     if network and scenario.network is None:
         raise DomainError("network-study needs a network section")
-    covar = cmd == "covar" or (network and scenario.study is not None
-                               and scenario.study.target == "covar")
+    covar = args.command == "covar" or (network and scenario.study is not None
+                                        and scenario.study.target == "covar")
     rows = (run_covar_study if covar else run_tail_study)(
         scenario, threads=args.threads)
     if args.out and args.out.endswith(".json"):
@@ -178,20 +139,58 @@ def _run(args):
     return covar_rows_to_csv(rows, scenario) if covar else rows_to_csv(rows)
 
 
+_COMMANDS = {
+    "sample": ("draw risk vectors and emit them as CSV", _cmd_sample),
+    "tailprob": ("tail-probability study over the grid", _cmd_study),
+    "qp": ("solve the box-constrained quadratic program", _cmd_qp),
+    "check-ai": ("pairwise/mutual asymptotic-independence verdicts",
+                 _cmd_check_ai),
+    "covar": ("CoVaR study over the gamma grid", _cmd_study),
+    "eci": ("extreme CoVaR index (analytic, optionally empirical)", _cmd_eci),
+    "network-study": ("network conditional-tail or CoVaR comparison",
+                      _cmd_study),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tailnet",
+        description="Heavy-tailed dependence models and CoVaR asymptotics "
+                    "on bipartite risk networks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the study seed")
+        p.add_argument("--out", default=None,
+                       help="output path; .csv or .json selects the format")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker cap; results do not depend on it")
+        if name == "sample":
+            p.add_argument("--n", type=int, default=None,
+                           help="number of draws (default: study mc_budget)")
+        if name == "eci":
+            p.add_argument("--empirical", action="store_true",
+                           help="add the slope-based empirical estimate")
+    return parser
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = _run(args)
+        scenario = _override_seed(load_scenario(args.scenario), args.seed)
+        _emit(args.run(scenario, args), args.out)
     except ReliabilityError as exc:
         print(f"reliability failure: {exc}", file=sys.stderr)
         return 3
     except (ScenarioError, ModelError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except TailnetError as exc:
+    except (TailnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

@@ -217,7 +217,7 @@ def h_gaussian(rho: float, alpha: float) -> HFunction:
 
 
 def b2_inv_strong(alpha: float, theta: float) -> PowerLog:
-    return PowerLog(c=1.0 / theta, a=alpha)
+    return _case_forms(CASE_OVERLAP, alpha, theta, 2).b2_inv
 
 
 def b2_inv_independence(alpha: float, theta: float) -> PowerLog:
@@ -229,9 +229,7 @@ def b2_inv_mo(variant: str, alpha: float, theta: float) -> PowerLog:
 
 
 def b2_inv_gaussian(rho: float, alpha: float, theta: float) -> PowerLog:
-    g2 = 2.0 / (1.0 + rho)
-    return PowerLog(c=(2.0 * math.pi) ** (-g2 / 2.0) * theta ** -g2,
-                    a=alpha * g2, p=(2.0 - g2) / 2.0, kappa=0.0, lam=2.0 * alpha)
+    return _case_forms(CASE_GAUSS, alpha, theta, 2, rho).b2_inv
 
 
 def covar_asymptotic_generic(h: HFunction, b2_inv: PowerLog, var_gamma: float,

@@ -130,7 +130,7 @@ def _joint_tail_asymptotic_model(model: RiskModel, x, t: float) -> float:
     alpha, theta = model.margin.alpha, model.margin.theta
     d = model.d
     x = np.asarray(x, dtype=float)
-    if t * x.min() <= theta ** (1.0 / alpha):
+    if t * x.min() <= model.margin.support_floor:
         raise DomainError("t too small: scaled thresholds below the margin floor")
     dep = model.dependence
     if isinstance(dep, Iid):

@@ -363,13 +363,13 @@ def gaussian_mu(sigma, alpha: float, i: int, rect: RectSet) -> float:
 def gaussian_tail_asymptotic(sigma, alpha: float, theta: float,
                              rect: RectSet, t: float) -> float:
     """Leading-order approximation of P(Z_s > t z_s for all s in S)."""
-    ParetoMargin(alpha, theta)
+    floor = ParetoMargin(alpha, theta).support_floor
     m = _as_matrix(sigma)
     if rect.d != m.shape[0]:
         raise DomainError("rectangle dimension does not match Sigma")
     if not t > 1.0:
         raise DomainError("t must exceed 1 so the log factor is positive")
-    if t * min(rect.thresholds) <= theta ** (1.0 / alpha):
+    if t * min(rect.thresholds) <= floor:
         raise DomainError("t too small: scaled thresholds below the margin floor")
     subset = list(rect.subset)
     if len(subset) == 1:

@@ -42,9 +42,12 @@ class Scenario:
 
 @contextmanager
 def _section(path: str):
-    """Report a value of the wrong type or shape as a ScenarioError."""
+    """Report a value of the wrong type or shape, or a ModelError from the
+    objects the section builds, as a ScenarioError under the section."""
     try:
         yield
+    except ModelError as exc:
+        raise ScenarioError(path, str(exc)) from exc
     except TailnetError:
         raise
     except (TypeError, ValueError, OverflowError, AttributeError) as exc:
@@ -84,26 +87,23 @@ def _numbers(doc, key, path):
 
 def _parse_dependence(dep: dict, alpha: float, theta: float) -> RiskModel:
     kind = _need(dep, "kind", "dependence")
-    try:
-        if kind == "iid":
-            d = _number(dep, "d", "dependence", lo=0, integral=True)
-            return RiskModel.iid(d, alpha, theta)
-        if kind == "gaussian":
-            sigma = CorrelationMatrix(_numbers(dep, "sigma", "dependence"))
-            return RiskModel.gaussian(sigma, alpha, theta)
-        if kind == "mo":
-            d = _number(dep, "d", "dependence", lo=0, integral=True)
-            variant = _need(dep, "mo_variant", "dependence")
-            rates = None
-            if variant == "general":
-                raw = _need(dep, "rates", "dependence")
-                rates = {}
-                for key, val in raw.items():
-                    coords = frozenset(int(c) - 1 for c in key.split(","))
-                    rates[coords] = _number(raw, key, "dependence.rates")
-            return RiskModel.marshall_olkin(d, variant, alpha, theta, rates)
-    except ModelError as exc:
-        raise ScenarioError("dependence", str(exc)) from exc
+    if kind == "iid":
+        d = _number(dep, "d", "dependence", lo=0, integral=True)
+        return RiskModel.iid(d, alpha, theta)
+    if kind == "gaussian":
+        sigma = CorrelationMatrix(_numbers(dep, "sigma", "dependence"))
+        return RiskModel.gaussian(sigma, alpha, theta)
+    if kind == "mo":
+        d = _number(dep, "d", "dependence", lo=0, integral=True)
+        variant = _need(dep, "mo_variant", "dependence")
+        rates = None
+        if variant == "general":
+            raw = _need(dep, "rates", "dependence")
+            rates = {}
+            for key, val in raw.items():
+                coords = frozenset(int(c) - 1 for c in key.split(","))
+                rates[coords] = _number(raw, key, "dependence.rates")
+        return RiskModel.marshall_olkin(d, variant, alpha, theta, rates)
     raise ScenarioError("dependence.kind", f"unknown kind {kind!r}")
 
 
@@ -122,14 +122,11 @@ def _parse_network(net: dict, d_model: int):
     if d != d_model:
         raise ScenarioError("network.d", f"must equal the model dimension {d_model}")
     wraw = _need(net, "weights", "network")
-    try:
-        weights = WeightSpec(_need(wraw, "kind", "network.weights"),
-                             _number(wraw, "lo", "network.weights"),
-                             _number(wraw, "hi", "network.weights"))
-        return BipartiteNetwork(q, d, _numbers(net, "edge_prob", "network"),
-                                weights)
-    except ModelError as exc:
-        raise ScenarioError("network", str(exc)) from exc
+    weights = WeightSpec(_need(wraw, "kind", "network.weights"),
+                         _number(wraw, "lo", "network.weights"),
+                         _number(wraw, "hi", "network.weights"))
+    return BipartiteNetwork(q, d, _numbers(net, "edge_prob", "network"),
+                            weights)
 
 
 DEFAULT_T_GRID = (10.0, 100.0, 1000.0, 10000.0)

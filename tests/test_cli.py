@@ -394,3 +394,65 @@ def test_sample_refuses_a_negative_seed_and_an_empty_sample(tmp_path, capsys):
     for extra in (["--seed", "-5"], ["--n", "0"]):
         assert main(["sample", "--scenario", path] + extra) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [["sample", "--n", "5"], ["tailprob"],
+                                  ["eci"]])
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys, args):
+    path = write(tmp_path, "iid.json", malformed())
+    out = tmp_path / "missing" / "x.csv"
+    assert main(args + ["--scenario", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_closed_stdout_pipe_exits_two(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        def writelines(self, parts):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = write(tmp_path, "iid.json", malformed())
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["sample", "--scenario", path, "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    (malformed(), ["qp"], "needs a gaussian"),
+    (malformed(study=None), ["eci", "--empirical"], "needs a study section"),
+    (malformed(), ["network-study"], "needs a network section"),
+    (malformed(dependence={"kind": "iid", "d": 3},
+               study={"thresholds": [1.0, 2.0]}), ["tailprob"],
+     "needs 3 thresholds"),
+    (malformed(study={"target": "cond"}), ["tailprob"], "needs a network"),
+    (malformed(study=None), ["covar"], "no study section"),
+    (malformed(dependence={"kind": "iid", "d": 3},
+               study={"grid": [0.01], "target": "covar"}), ["covar"],
+     "bivariate model or a network"),
+], ids=["qp-not-gaussian", "empirical-eci-no-study", "network-study-no-network",
+        "two-thresholds-d3", "cond-no-network", "covar-no-study",
+        "covar-d3-no-network"])
+def test_a_command_outside_its_scenario_exits_two(tmp_path, capsys, doc, args,
+                                                  message):
+    path = write(tmp_path, "doc.json", doc)
+    assert main(args + ["--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("dependence, family", [
+    ({"kind": "mo", "d": 3, "mo_variant": "equal"}, "marshall-olkin"),
+    ({"kind": "iid", "d": 3}, "iid"),
+])
+def test_check_ai_answers_the_independent_families(tmp_path, capsys,
+                                                   dependence, family):
+    path = write(tmp_path, "doc.json", {"margin": {"alpha": 1.0, "theta": 1.0},
+                                        "dependence": dependence})
+    assert main(["check-ai", "--scenario", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["family"] == family
+    assert doc["pairwise"] is True and doc["mutual"] is True
+    assert doc["method"].startswith("exact ")

@@ -284,3 +284,30 @@ class TestModelDispatch:
     def test_requires_bivariate(self):
         with pytest.raises(DomainError):
             covar_asymptotic_model(tn.RiskModel.iid(3, 1.0), 1e-3, 0.5)
+
+
+def test_h_value_above_a_breakpoint_reads_the_next_piece():
+    from tailnet.covar import HFunction
+    h = HFunction(breakpoints=(1.0, 4.0),
+                  pieces=((3.0, 0.0), (3.0, -0.5), (6.0, -1.0)))
+    assert h.value(1.0) == 3.0
+    assert h.value(2.25) == 3.0 * 2.25 ** -0.5
+    assert h.value(8.0) == 6.0 / 8.0
+    assert h_strong_dependence(2.0).value(4.0) == 4.0 ** -2.0
+
+
+def test_bivariate_gaussian_scale_is_the_closed_form():
+    # b2^{-1}(t) = (2 pi)^{-1/(1+rho)} theta^{-2/(1+rho)} t^{2 alpha/(1+rho)}
+    #              * (2 alpha log t)^{rho/(1+rho)}
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        rho, alpha = rng.uniform(-0.8, 0.9), rng.uniform(0.5, 3.0)
+        theta, t = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(0.5, 8.0)
+        g2 = 2.0 / (1.0 + rho)
+        want = ((2.0 * math.pi) ** (-g2 / 2.0) * theta ** -g2
+                * t ** (alpha * g2)
+                * (2.0 * alpha * math.log(t)) ** ((2.0 - g2) / 2.0))
+        assert b2_inv_gaussian(rho, alpha, theta)(t) == pytest.approx(
+            want, rel=1e-12)
+        assert b2_inv_strong(alpha, theta)(t) == pytest.approx(
+            t ** alpha / theta, rel=1e-14)

@@ -362,3 +362,11 @@ class TestInactiveThresholdChoice:
 def test_monte_carlo_ai_ratio_refuses_an_empty_sample(model):
     with pytest.raises(DomainError, match="sample size"):
         tn.empirical_ai_ratio(model, (0, 1), 1, [0.1], n=0, seed=0)
+
+
+@pytest.mark.parametrize("j, z, t", [(0, 1.0, 10.0), (2, 2.5, 1e4)])
+def test_gaussian_tail_asymptotic_of_one_coordinate_is_the_margin_tail(j, z, t):
+    sig = tn.CorrelationMatrix.equicorrelation(3, 0.5)
+    alpha, theta = 1.7, 0.6
+    got = tn.gaussian_tail_asymptotic(sig, alpha, theta, RectSet(3, (j,), (z,)), t)
+    assert got == theta * (t * z) ** -alpha
