@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Every subcommand reads one scenario JSON (see scenario.py) so a run is fully
-reproducible from a single artifact.  ``--out`` picks CSV or JSON by file
-extension; without it, results print to stdout.  Exit codes: 0 success,
-2 validation error, 3 reliability failure.  An output that cannot be written
-(a missing directory, a closed pipe) exits 2 with ``error:``, after any study
-has run; a ``sample`` CSV may be left partial.
+reproducible from a single artifact.  Results print to stdout, or to the
+file ``--out`` names: ``tailprob``, ``covar`` and ``network-study`` write
+JSON to a name ending in ``.json`` and CSV to any other, ``sample`` writes
+CSV and refuses a name ending in ``.json``, and ``qp``, ``check-ai`` and
+``eci`` write JSON under any name.  Exit codes: 0 success, 2 validation
+error, 3 reliability failure.  An output that cannot be written (a missing
+directory, a closed pipe) exits 2 with ``error:``, after any study has run;
+a ``sample`` CSV may be left partial.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ def _cmd_sample(scenario: Scenario, args):
         (study.mc_budget if study else 10_000)
     # without a study section, --seed is the only seed
     seed = study.seed if study else (args.seed or 0)
+    if args.out and args.out.endswith(".json"):
+        raise DomainError("sample writes CSV; --out must not end in .json")
     # both refuse here, before the header is written
     plan = rng.blocks(n)
     draw = rng.seeded(seed, rng.STREAM_RISK, block_sampler(scenario.model))
@@ -165,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the study seed")
         p.add_argument("--out", default=None,
-                       help="output path; .csv or .json selects the format")
+                       help="output path; .json picks JSON for a study")
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; results do not depend on it")
         if name == "sample":

@@ -228,7 +228,12 @@ class RiskModel:
         return cls(ParetoMargin(alpha, theta), MarshallOlkin(fam), d)
 
 
-def _mo_shock_layout(rates: MoRateFamily):
+def _mo_shock_layout(rates: MoRateFamily, mo_dim_cap: int = MO_DIM_CAP):
+    """(rates, subset membership, coordinate totals) of the 2^d - 1 shocks."""
+    if rates.d > mo_dim_cap:
+        raise CapacityError(
+            f"shock enumeration walks 2^d - 1 subsets; d = {rates.d} exceeds "
+            f"the cap {mo_dim_cap}", mo_dim_cap)
     subsets = list(_all_subsets(rates.d))
     lam = np.array([rates.rate(s) for s in subsets])
     member = np.zeros((len(subsets), rates.d), dtype=bool)
@@ -311,14 +316,6 @@ class BlockKernel:
         return self.finish(self.score(*args))
 
 
-def _check_mo_dim(d: int, mo_dim_cap: int) -> None:
-    """Refuse a Marshall-Olkin subset walk (2^d - 1 shocks) past the cap."""
-    if d > mo_dim_cap:
-        raise CapacityError(
-            f"shock enumeration walks 2^d - 1 subsets; d = {d} exceeds the "
-            f"cap {mo_dim_cap}", mo_dim_cap)
-
-
 def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel:
     """Per-block kernel ``draw(g, size)``: ``size`` risk vectors, exact Pareto
     margins, from the block generator ``g``.  The layout is computed once
@@ -335,8 +332,7 @@ def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel
             lambda y: margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0)))
     layout, width = None, model.d
     if isinstance(dep, MarshallOlkin):
-        _check_mo_dim(model.d, mo_dim_cap)
-        layout = _mo_shock_layout(dep.rates)
+        layout = _mo_shock_layout(dep.rates, mo_dim_cap)
         width = layout[0].size
     return BlockKernel(lambda g, size: margin.quantile_tail(
         _draw_uniform_block(model, g, size, layout)), row_width=width)
@@ -379,8 +375,7 @@ def survival_copula(model: RiskModel, u, return_error: bool = False,
     if isinstance(dep, Iid):
         val = float(np.prod(u))
     else:
-        _check_mo_dim(model.d, mo_dim_cap)
-        lam, member, totals = _mo_shock_layout(dep.rates)
+        lam, member, totals = _mo_shock_layout(dep.rates, mo_dim_cap)
         exps = np.where(member, lam[:, None] / totals * np.log(u), np.inf)
         # a running sum: the pairwise np.sum would move the last bits
         val = math.exp(np.cumsum(exps.min(axis=1))[-1])
@@ -430,13 +425,9 @@ def _mixture_block(g: np.random.Generator, size: int) -> np.ndarray:
     u, v = raw[:, 0], raw[:, 1]
     branch = np.minimum((raw[:, 2] * 3).astype(np.int64), 2)
     m = np.minimum(u, v)
-    out = np.empty((size, 3))
-    for b, cols in enumerate(((0, 1), (0, 2), (1, 2))):
-        mask = branch == b
-        out[mask, cols[0]] = u[mask]
-        out[mask, cols[1]] = v[mask]
-        out[mask, 3 - cols[0] - cols[1]] = m[mask]
-    return out
+    return np.stack([np.where(branch == 2, m, u),
+                     np.where(branch == 0, v, np.where(branch == 1, m, u)),
+                     np.where(branch == 0, m, v)], axis=1)
 
 
 def bernstein_mixture_sample(n: int, seed: int, threads: int = 1) -> np.ndarray:

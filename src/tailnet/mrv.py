@@ -314,22 +314,20 @@ def gaussian_cone_spec(sigma, alpha: float, theta: float, i: int) -> ConeSpec:
 def upsilon_constant(m: np.ndarray, qp: QpSolution) -> float:
     """Prefactor of the Gaussian limit measure on one rectangle family of
     the correlation entries ``m``: (2 pi)^(-|I|/2) |Sigma_I|^(-1/2) times
-    prod_{s in I} h_s^{-1} and the residual-orthant probability for the
-    inactive coordinates."""
+    prod_{s in I} h_s^{-1} and the orthant probability, given I, of the
+    inactive coordinates on the e* = 1 boundary (1 when there are none)."""
     ii = list(qp.index_set)
-    jj = [j for j in range(m.shape[0]) if j not in qp.index_set]
+    bb = [j for j in range(m.shape[0]) if j not in qp.index_set
+          and abs(qp.e_star[j] - 1.0) <= BORDERLINE_TOL]
     det_i = float(np.linalg.det(m[np.ix_(ii, ii)]))
     val = (2.0 * math.pi) ** (-len(ii) / 2.0) / math.sqrt(det_i)
     val /= float(np.prod(qp.h))
-    if jj:
-        e_j = qp.e_star[jj]
-        if np.any(np.abs(e_j - 1.0) <= BORDERLINE_TOL):
-            warnings.warn("inactive coordinate sits on the e* = 1 boundary; "
-                          "orthant threshold set to 0", RuntimeWarning)
-        lower = np.where(np.abs(e_j - 1.0) <= BORDERLINE_TOL, 0.0, -np.inf)
-        cond = m[np.ix_(jj, jj)] - m[np.ix_(jj, ii)] @ np.linalg.solve(
-            m[np.ix_(ii, ii)], m[np.ix_(ii, jj)])
-        val *= normal_orthant_survival(lower, cond)
+    if bb:
+        warnings.warn("inactive coordinate sits on the e* = 1 boundary; "
+                      "orthant threshold set to 0", RuntimeWarning)
+        cond = m[np.ix_(bb, bb)] - m[np.ix_(bb, ii)] @ np.linalg.solve(
+            m[np.ix_(ii, ii)], m[np.ix_(ii, bb)])
+        val *= normal_orthant_survival(np.zeros(len(bb)), cond)
     return val
 
 

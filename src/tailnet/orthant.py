@@ -25,9 +25,9 @@ Two routes are provided on purpose:
     with the weights summed as logs, so conditional probabilities below
     1e-300 neither clip nor underflow.
 
-  The lattice shifts come from a fixed internal Philox stream, so the
-  function is pure: same inputs, same output, every call, every thread
-  count.
+  The twelve lattice shifts are drawn once from a fixed internal Philox
+  stream, so the function is pure.  A Kronecker lattice is extensible (its
+  first n points are the n-point rule), so a doubling adds only new points.
 
 Both compute ``P(Y_j > lower_j for all j)`` for ``Y ~ N(0, sigma)``.
 ``-inf`` components are allowed and marginalised away exactly.
@@ -210,10 +210,10 @@ def normal_orthant_survival(lower, sigma, rel_tol: float = 1e-3,
 
     Components with ``lower = -inf`` impose no constraint and are dropped
     before integration; one at ``+inf`` makes the probability 0.  For d >= 3
-    the tilted lattice points are doubled until the estimated error is below
-    ``rel_tol`` relative (or an internal cap of 2^17 points per shift is
-    reached); the estimate and its error are returned when ``return_error``
-    is set.
+    each shift's tilted lattice is extended to twice its points, the points
+    already evaluated kept, until the estimated error is below ``rel_tol``
+    relative (or an internal cap of 2^17 points per shift is reached); the
+    estimate and its error are returned when ``return_error`` is set.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
@@ -239,22 +239,21 @@ def normal_orthant_survival(lower, sigma, rel_tol: float = 1e-3,
     off = chol / scale[:, None] - np.eye(d)
     bound = lower[order] / scale
     mu = _tilt(off, bound, means)
-    n_shifts = 12
-    n_points = 512
-    attempt = 0
+    n_shifts, done, n_points = 12, 0, 512
+    shifts = philox_stream(_INTERNAL_SEED, STREAM_ORTHANT).random(
+        (n_shifts, d - 1))
+    log_sums = np.full(n_shifts, -np.inf)
     while True:
-        g = philox_stream(_INTERNAL_SEED, STREAM_ORTHANT, block=attempt)
-        log_means = np.empty(n_shifts)
         for j in range(n_shifts):
-            shift = g.random(d - 1)
-            w = _lattice_batch(d - 1, n_points, shift)
-            log_means[j] = logsumexp(_tilted_log_weights(off, bound, mu, w))
-        log_means -= math.log(n_points)
+            w = _lattice_batch(d - 1, n_points, shifts[j])[done:]
+            log_sums[j] = np.logaddexp(
+                log_sums[j], logsumexp(_tilted_log_weights(off, bound, mu, w)))
+        done = n_points
+        log_means = log_sums - math.log(n_points)
         top = log_means.max()
         vals = np.exp(log_means - top)
         rel = 3.0 * float(vals.std(ddof=1)) / math.sqrt(n_shifts) \
             / float(vals.mean())
-        attempt += 1
         if rel <= rel_tol or n_points >= (1 << 17):
             break
         n_points *= 2

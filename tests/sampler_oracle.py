@@ -48,3 +48,19 @@ def draw_law(law, g: np.random.Generator, n: int) -> np.ndarray:
         return np.stack([getattr(a[:, list(rows), :], law.op)(axis=1)
                          for rows in (law.rows_s, law.rows_t)], axis=1)
     return draw_base(law, g, n)
+
+
+def mixture_block(g: np.random.Generator, size: int) -> np.ndarray:
+    """The masked-scatter form of :func:`tailnet.copula._mixture_block`:
+    each branch's rows filled slot by slot through a boolean mask."""
+    raw = g.random((size, 3))
+    u, v = raw[:, 0], raw[:, 1]
+    branch = np.minimum((raw[:, 2] * 3).astype(np.int64), 2)
+    m = np.minimum(u, v)
+    out = np.empty((size, 3))
+    for b, cols in enumerate(((0, 1), (0, 2), (1, 2))):
+        mask = branch == b
+        out[mask, cols[0]] = u[mask]
+        out[mask, cols[1]] = v[mask]
+        out[mask, 3 - cols[0] - cols[1]] = m[mask]
+    return out

@@ -456,3 +456,15 @@ def test_check_ai_answers_the_independent_families(tmp_path, capsys,
     assert doc["family"] == family
     assert doc["pairwise"] is True and doc["mutual"] is True
     assert doc["method"].startswith("exact ")
+
+
+def test_sample_refuses_a_json_output_before_opening_it(tmp_path, capsys):
+    path = write(tmp_path, "iid.json", malformed())
+    out = tmp_path / "s.json"
+    assert main(["sample", "--scenario", path, "--n", "5",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert ".json" in captured.err
+    assert not out.exists()

@@ -370,3 +370,27 @@ def test_gaussian_tail_asymptotic_of_one_coordinate_is_the_margin_tail(j, z, t):
     alpha, theta = 1.7, 0.6
     got = tn.gaussian_tail_asymptotic(sig, alpha, theta, RectSet(3, (j,), (z,)), t)
     assert got == theta * (t * z) ** -alpha
+
+
+def test_upsilon_without_a_boundary_coordinate_takes_no_integral(monkeypatch):
+    # r = 0.6: I = (0, 1) and e*_3 = 1.0607, off the e* = 1 boundary
+    def refuse(*args, **kwargs):
+        raise AssertionError("orthant integral taken")
+
+    monkeypatch.setattr(tn.mrv, "normal_orthant_survival", refuse)
+    m = matrix_06()
+    sol = tn.solve_qp(m)
+    assert sol.index_set == (0, 1)
+    assert sol.e_star[2] == pytest.approx(1.0607, abs=1e-4)
+    assert tn.mrv.upsilon_constant(m, sol) == 0.5092958178940651
+
+
+def test_upsilon_on_the_boundary_warns_once_and_keeps_its_value():
+    rho = 1.0 / (2.0 * SQ2 - 1.0)
+    m = np.array([[1, rho, rho * SQ2], [rho, 1, rho * SQ2],
+                  [rho * SQ2, rho * SQ2, 1]])
+    sol = tn.solve_qp(m)
+    with pytest.warns(RuntimeWarning, match="boundary") as caught:
+        got = tn.mrv.upsilon_constant(m, sol)
+    assert len(caught) == 1
+    assert got == 0.227458837715223

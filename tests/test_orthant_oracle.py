@@ -84,3 +84,58 @@ def test_one_factor_d8_meets_target_within_4096_points_per_shift(monkeypatch):
                                        return_error=True)
     assert err <= 1e-3 * est
     assert sizes and max(sizes) <= 4096
+
+
+D8_LOADINGS = np.array([0.528, 0.367, 0.46, 0.603, 0.367, 0.386, 0.575, 0.348])
+
+
+def test_a_doubling_call_draws_its_shifts_from_block_zero_only(monkeypatch):
+    blocks, sizes = [], []
+    stream, batch = orthant.philox_stream, orthant._lattice_batch
+
+    def spied(seed, stream_id, block=0):
+        blocks.append((stream_id, block))
+        return stream(seed, stream_id, block)
+
+    def counted(dim, n, shift):
+        sizes.append(n)
+        return batch(dim, n, shift)
+
+    monkeypatch.setattr(orthant, "philox_stream", spied)
+    monkeypatch.setattr(orthant, "_lattice_batch", counted)
+    normal_orthant_survival(np.full(8, -ndtri(1e-3)),
+                            one_factor_sigma(D8_LOADINGS))
+    assert max(sizes) > 512     # the call doubled
+    assert blocks == [(orthant.STREAM_ORTHANT, 0)]
+
+
+def test_each_lattice_point_is_weighted_once(monkeypatch):
+    sizes, rows = [], []
+    batch, weights = orthant._lattice_batch, orthant._tilted_log_weights
+
+    def counted(dim, n, shift):
+        sizes.append(n)
+        return batch(dim, n, shift)
+
+    def weighed(off, bound, mu, w):
+        rows.append(w.shape[0])
+        return weights(off, bound, mu, w)
+
+    monkeypatch.setattr(orthant, "_lattice_batch", counted)
+    monkeypatch.setattr(orthant, "_tilted_log_weights", weighed)
+    normal_orthant_survival(np.full(8, -ndtri(1e-3)),
+                            one_factor_sigma(D8_LOADINGS))
+    assert max(sizes) > 512
+    assert sum(rows) == 12 * max(sizes)
+
+
+@pytest.mark.parametrize("lower, want", [
+    (0.0, (0.24995415383312763, 0.00015805053053012904)),
+    ((1.0, 0.5, 2.0), (0.011333166684107233, 3.36345029522048e-06)),
+    (3.0, (1.5132015694581172e-05, 8.033777961043686e-09)),
+])
+def test_equicorrelated_d3_values_stay_pinned(lower, want):
+    sigma = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+    got = normal_orthant_survival(np.broadcast_to(lower, 3), sigma,
+                                  return_error=True)
+    assert got == want

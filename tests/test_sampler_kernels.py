@@ -117,3 +117,27 @@ def test_draw_law_of_a_max_law_matches_the_oracle():
     want = draw_law(laws["max"], rng.philox_stream(6, 2), n)
     assert same_bytes(got["max"], want)
     assert not same_bytes(got["sum"], want)
+
+
+@pytest.mark.parametrize("size", [1, 7, 100_000])
+def test_mixture_block_matches_the_masked_scatter(size):
+    from tailnet.copula import _mixture_block
+    from sampler_oracle import mixture_block
+    got = _mixture_block(rng.philox_stream(9, rng.STREAM_MIXTURE), size)
+    want = mixture_block(rng.philox_stream(9, rng.STREAM_MIXTURE), size)
+    assert same_bytes(got, want)
+
+
+def test_mixture_sample_matches_the_masked_scatter_at_any_thread_count():
+    from sampler_oracle import mixture_block
+    n = (1 << 20) + 5    # past one rng block
+    want = rng.sample_blocked(n, 12, rng.STREAM_MIXTURE, mixture_block)
+    for threads in (1, 2):
+        got = tn.bernstein_mixture_sample(n, seed=12, threads=threads)
+        assert same_bytes(got, want), threads
+
+
+def test_shock_layout_refuses_a_dimension_past_the_cap_before_the_walk():
+    with pytest.raises(tn.CapacityError) as err:
+        _mo_shock_layout(tn.MoRateFamily(17, "equal"))
+    assert err.value.limit == 16 == tn.copula.MO_DIM_CAP
