@@ -161,26 +161,43 @@ def _tail_asymptotic(scenario: Scenario, pair: tuple, x, t: float) -> float:
 
 def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 threads: int = 1) -> StudyRow:
+    """Monte Carlo tail probability of one grid point next to its closed
+    form.  The joint, marginal and per-batch joint hits are counted piece by
+    piece over the loss kernel's walk (:class:`tailnet.network.LossWalk`),
+    one row chunk's final rows, then the redrawn rows part by part, so a
+    random-law block holds one row chunk and its kept matrices; a kernel
+    without a walk is one whole-block piece, ``slice(0, size)``.  Integer
+    counts do not depend on the order of the pieces."""
     study, model, law = scenario.study, scenario.model, pair[0]
     x = _thresholds(study, model.d if law is None else 2)
     # the closed form may refuse its domain, so it comes before the draws
     asym = _tail_asymptotic(scenario, pair, x, t)
     n, cut = study.mc_budget, t * x
+    per = n // N_BATCHES
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
     draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
+    walk = getattr(draw, "visit", None) or (
+        lambda b, size, take: take(slice(0, size), draw(b, size)))
 
     def counts(b, size):
         """[joint hits, marginal hits, joint hits per batch] of block b"""
-        xs = draw(b, size)
-        joint = xs[:, 0] > cut[0]
-        for j in range(1, xs.shape[1]):
-            joint &= xs[:, j] > cut[j]
         out = np.zeros(2 + N_BATCHES, dtype=np.int64)
-        out[0] = np.count_nonzero(joint)
-        if study.target == "cond":
-            out[1] = np.count_nonzero(xs[:, 1] > cut[1])
-        for batch, start, stop in _batch_cuts(b * rng.BLOCK_SIZE, size, n):
-            out[2 + batch] = np.count_nonzero(joint[start:stop])
+
+        def take(rows, xs):
+            joint = xs[:, 0] > cut[0]
+            for j in range(1, xs.shape[1]):
+                joint &= xs[:, j] > cut[j]
+            hit = np.flatnonzero(joint)
+            hit = rows.start + hit if isinstance(rows, slice) else rows[hit]
+            out[0] += len(hit)
+            if study.target == "cond":
+                out[1] += np.count_nonzero(xs[:, 1] > cut[1])
+            if per:
+                batch = (b * rng.BLOCK_SIZE + hit) // per
+                out[2:] += np.bincount(batch[batch < N_BATCHES],
+                                       minlength=N_BATCHES)
+
+        walk(b, size, take)
         return out
 
     total = rng.fold_blocks(n, counts, np.add,

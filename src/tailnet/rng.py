@@ -32,8 +32,10 @@ matrices in row-major order at ``[0, nqd)``, their weights at
 rounds of the all-zero agent rows from the end of the weights on.  Each
 round draws the edge uniforms of the rows still all-zero, in row-major
 order, then their weights.  The edges and the weights are drawn from two
-generators, the second placed at ``nqd`` by :func:`positioned`, so the
-bytes do not depend on how a block is split into row chunks.
+generators, the second placed at ``nqd`` by :func:`positioned`, and each
+redraw round of R rows likewise from the round's start and from a generator
+placed ``R d`` past it, so a block and each of its redraw rounds may be
+drawn in row chunks without changing the layout or a byte.
 """
 
 from __future__ import annotations

@@ -4,16 +4,20 @@ give the same bytes in chunks as whole, the loss blocks equal the
 whole-block oracle (``sampler_oracle.draw_base`` times the whole-block risk
 rows), and a block holds no ``(size, q, d)`` array."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import tailnet as tn
-from tailnet import rng
+from tailnet import harness, rng
+from tailnet import network
 from tailnet.copula import block_sampler
 from tailnet.network import (AggregatedNetwork, loss_sampler,
                              sample_adjacency_batch)
+from tailnet.scenario import parse_scenario
 
 from sampler_oracle import draw_base
 
@@ -143,3 +147,101 @@ def test_loss_block_holds_no_exposure_block():
 def test_empty_adjacency_batch():
     net = uniform_net(2, 3, 0.5)
     assert sample_adjacency_batch(net, seed=1, n=0).shape == (0, 2, 3)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "point"])
+def test_one_row_chunks_on_the_sparse_law(monkeypatch, kind):
+    # hundreds of redraw rounds, each drawn one kept matrix at a time
+    monkeypatch.setattr(rng, "_CHUNK_BYTES", 8)
+    lo, hi = (0.5, 1.5) if kind == "uniform" else (2.0, 2.0)
+    law = tn.BipartiteNetwork(2, 4, 0.01, tn.WeightSpec(kind, lo, hi))
+    model = tn.RiskModel.iid(4, 1.0)
+    want = draw_base(law, rng.philox_stream(5, rng.STREAM_ADJACENCY), SMALL)
+    assert same_bytes(sample_adjacency_batch(law, 5, SMALL), want)
+    draw = loss_sampler(law, model, 5, 6, 7)
+    for b, size in ((0, 1), (1, SMALL)):
+        assert same_bytes(draw(b, size), oracle_block(law, model, 5, b, size))
+
+
+def whole_a_moment(law, fn, n_a=network.ADJ_MC_DRAWS, seed=0):
+    """``a_moment`` with ``fn`` called once on all the draws."""
+    vals = np.asarray(fn(network._moment_draws(law, seed, n_a)), dtype=float)
+    return network.MomentEstimate(float(vals.mean()),
+                                  float(vals.std(ddof=1) / math.sqrt(n_a)))
+
+
+DISJOINT = uniform_net(2, 4, np.array([[0.7, 0.7, 0.0, 0.0],
+                                       [0.0, 0.0, 0.7, 0.7]]))
+OVERLAP = uniform_net(2, 4, 0.5)
+IID4 = tn.RiskModel.iid(4, 1.5)
+MO4 = tn.RiskModel.marshall_olkin(4, "equal", 1.0)
+GAUSS4 = tn.RiskModel.gaussian(tn.CorrelationMatrix.equicorrelation(4, 0.4),
+                               1.2)
+X = (1.5, 2.0)
+MOMENTS = {
+    "row_moment_sum": lambda **kw: network.row_moment_sum(DISJOINT, 1, 1.5,
+                                                          **kw),
+    "mu_bar_1": lambda **kw: network.mu_bar_1(OVERLAP, MO4, X, **kw),
+    "mu_bar_2_overlap": lambda **kw: network.mu_bar_2_overlap(OVERLAP, IID4,
+                                                              X, **kw),
+    "disjoint_iid": lambda **kw: network.disjoint_mu_bar_2(DISJOINT, IID4, X,
+                                                           **kw),
+    "disjoint_mo": lambda **kw: network.disjoint_mu_bar_2(DISJOINT, MO4, X,
+                                                          **kw),
+    "disjoint_gauss": lambda **kw: network.disjoint_mu_bar_2(DISJOINT, GAUSS4,
+                                                             X, **kw),
+    "gauss_constant_d": lambda **kw: network.gauss_constant_d(DISJOINT,
+                                                              GAUSS4, 0.4,
+                                                              **kw),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [rng._CHUNK_BYTES, 8],
+                         ids=["cache-chunks", "one-row-chunks"])
+@pytest.mark.parametrize("name", sorted(MOMENTS))
+def test_moments_in_row_chunks_equal_one_call(monkeypatch, name, chunk_bytes):
+    monkeypatch.setattr(rng, "_CHUNK_BYTES", chunk_bytes)
+    # one-row chunks call the moment's function once per draw
+    n_a = network.ADJ_MC_DRAWS if chunk_bytes > 8 else 3001
+    assert len(list(rng.row_chunks(n_a, 8))) > 1
+    got = MOMENTS[name](n_a=n_a, seed=4)
+    monkeypatch.setattr(network, "a_moment", whole_a_moment)
+    want = MOMENTS[name](n_a=n_a, seed=4)
+    assert (got.value.hex(), got.stderr.hex()) == \
+        (want.value.hex(), want.stderr.hex())
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tail_point_block_and_closed_form_memory():
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "mo", "d": 4, "mo_variant": "equal"},
+           "network": {"q": 2, "d": 4,
+                       "edge_prob": DISJOINT.edge_prob.tolist(),
+                       "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+           "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1,
+                     "target": "cond"}}
+    sc = parse_scenario(doc)
+    sc = dataclasses.replace(sc, study=dataclasses.replace(
+        sc.study, mc_budget=rng.BLOCK_SIZE))
+    law, case = pair = harness.study_pair(sc)
+    # the first closed form on a law draws its moment draws too
+    cold = traced_peak(lambda: network.network_cond_prob(
+        case, law, sc.model, (1.0, 1.0), 10.0))
+    assert cold < 16 << 20
+    # one block of counts; the closed form reads the held draws
+    peak = traced_peak(lambda: harness._tail_point(sc, pair, 10.0, 0))
+    assert peak < rng.BLOCK_SIZE * 5 * 8
+
+
+@pytest.mark.parametrize("n_a", [0, 1])
+def test_random_law_moments_refuse_fewer_than_two_draws(n_a):
+    with pytest.raises(tn.DomainError):
+        network.row_moment_sum(DISJOINT, 0, 1.0, n_a=n_a)

@@ -274,3 +274,26 @@ def test_empirical_eci_memory_does_not_grow_with_the_sample(tmp_path):
     # would add 16 B per draw
     small, large = eci_peak(tmp_path, 1_000_000), eci_peak(tmp_path, 4_000_000)
     assert large <= small + (16 << 20), (small, large)
+
+
+MO4 = {"kind": "mo", "d": 4, "mo_variant": "equal"}
+DISJOINT_LAW = {"q": 2, "d": 4,
+                "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
+                "edge_prob": [[0.7, 0.7, 0.0, 0.0], [0.0, 0.0, 0.7, 0.7]]}
+
+
+@pytest.mark.parametrize("target", ["cond", "joint"])
+def test_walked_tail_points_equal_materialised_rows(target):
+    # batch cuts fall inside the blocks and between the rows each chunk
+    # keeps for its redraw, whose hits are counted after the chunk's others
+    n = 2 * B + 4099
+    assert B % (n // harness.N_BATCHES) != 0
+    sc = scenario(MO4, n, {"grid": [3.0, 10.0], "target": target},
+                  DISJOINT_LAW)
+    pair = study_pair(sc)
+    for index, value in enumerate(sc.study.grid):
+        want = row_bytes(point_oracle.tail_point(sc, pair, value, index))
+        for threads in (1, 2):
+            got = row_bytes(harness._tail_point(sc, pair, value, index,
+                                                threads))
+            assert got == want, (value, threads)
