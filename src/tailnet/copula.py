@@ -306,7 +306,8 @@ class BlockKernel:
     ``row_width`` is the float64 values a score call draws per row when
     consecutive calls ``score(g, m_i)`` on one generator give the bytes of
     one ``score(g, sum m_i)`` call, so that a caller may draw a block in
-    row chunks; None when they need not."""
+    row chunks; None when they need not, and such a kernel is drawn one
+    whole block at a time.  Every :func:`block_sampler` kernel has one."""
 
     score: Callable
     finish: Callable = identity
@@ -321,15 +322,24 @@ def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel
     margins, from the block generator ``g``.  The layout is computed once
     here, not once per block.  A Gaussian kernel's score is the latent
     normal vector, which the Pareto margin maps up monotonically; the
-    independence and Marshall-Olkin scores are the draws themselves.  The
-    Gaussian score has no ``row_width``: its matmul takes another BLAS path
-    for a one-row call and need not return the same bits."""
+    independence and Marshall-Olkin scores are the draws themselves.  Every
+    kernel has a ``row_width``.  The Gaussian score's matmul computes each
+    row on BLAS's gemm path whatever the call's length: a one-row call,
+    which numpy would send to gemv, is stacked with a zero row first."""
     dep, margin = model.dependence, model.margin
     if isinstance(dep, Gaussian):
         chol_t = np.linalg.cholesky(dep.sigma.entries).T
-        return BlockKernel(
-            lambda g, size: g.standard_normal((size, model.d)) @ chol_t,
-            lambda y: margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0)))
+
+        def score(g, size):
+            z = g.standard_normal((size, model.d))
+            if size == 1:
+                return (np.vstack([z, np.zeros_like(z)]) @ chol_t)[:1]
+            return z @ chol_t
+
+        def finish(y):
+            return margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0))
+
+        return BlockKernel(score, finish, row_width=model.d)
     layout, width = None, model.d
     if isinstance(dep, MarshallOlkin):
         layout = _mo_shock_layout(dep.rates, mo_dim_cap)

@@ -8,16 +8,19 @@ vectors, + 2 * index + 1 for adjacency draws), samples are drawn in
 fixed-size counter blocks, and rows are emitted in grid order, so the CSV
 bytes do not depend on the thread count.
 
-A point never holds its whole sample: it folds its statistics over the loss
-blocks in block order (:func:`rng.fold_blocks`), from per-block counts for tail
-probabilities and per-block top rows for CoVaR, and gets the same bytes as
-the statistics of the whole sample.
+A point never holds its whole sample, nor a whole block: it walks each loss
+block in row chunks (:func:`_walk`; a random law's redrawn rows follow in
+parts) over the blocks of :func:`rng.fold_blocks`, counting tail hits per
+piece, or admitting CoVaR rows per piece into buffers behind a running
+floor on the score.  It gets the same bytes as the statistics of the whole
+sample.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import network as net
 from . import rng
-# ``sample`` stays importable here: bench/tracing.py wraps harness.sample
+# ``sample`` and ``BlockKernel`` stay importable here: bench/tracing.py
+# wraps harness.sample, and tests build stand-in kernels from BlockKernel
 from .copula import (SCORE_TOL, BlockKernel, Iid, MarshallOlkin,  # noqa: F401
                      RiskModel, block_sampler, identity, sample)
 from .covar import (GSpec, covar_asymptotic_model, covar_empirical,
@@ -106,13 +110,33 @@ def loss_blocks(scenario: Scenario, law, z_stream: int, a_stream: int):
     """Per-block kernel ``(b, size)`` of the study's losses: block b of the
     (n, 2) agent losses of the pair law ``law``, or of the (n, d) risk
     vectors when ``law`` is None.  The risk vectors' kernel is a
-    :class:`BlockKernel` with the model's score and finish."""
+    :class:`tailnet.network.LossWalk` over the model's score in
+    ``rng.row_chunks``, with the model's finish; a block kernel without a
+    row width is one whole-block piece."""
     seed = scenario.study.seed
-    if law is None:
-        kernel = block_sampler(scenario.model)
-        return BlockKernel(rng.seeded(seed, z_stream, kernel.score),
-                           kernel.finish)
-    return net.loss_sampler(law, scenario.model, seed, z_stream, a_stream)
+    if law is not None:
+        return net.loss_sampler(law, scenario.model, seed, z_stream, a_stream)
+    kernel = block_sampler(scenario.model)
+
+    def visit(b, size, take):
+        g = rng.philox_stream(seed, z_stream, block=b)
+        chunks = rng.row_chunks(size, kernel.row_width) \
+            if kernel.row_width else [(0, size)]
+        for lo, hi in chunks:
+            take(slice(lo, hi), kernel.score(g, hi - lo))
+
+    return net.LossWalk(visit, scenario.model.d, kernel.finish)
+
+
+def _walk(kernel) -> tuple:
+    """``(visit, finish)`` of a :func:`loss_blocks` kernel:
+    ``visit(b, size, take)`` hands ``take(rows, xs)`` block b's score rows
+    piece by piece, and ``finish`` maps them to losses.  A plain callable
+    (a test's stand-in) is one whole-block piece of its losses."""
+    if isinstance(kernel, net.LossWalk):
+        return kernel.visit, kernel.finish
+    return (lambda b, size, take: take(slice(0, size), kernel(b, size))), \
+        identity
 
 
 def draw_losses(scenario: Scenario, law, z_stream: int = rng.STREAM_RISK,
@@ -163,11 +187,11 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 threads: int = 1) -> StudyRow:
     """Monte Carlo tail probability of one grid point next to its closed
     form.  The joint, marginal and per-batch joint hits are counted piece by
-    piece over the loss kernel's walk (:class:`tailnet.network.LossWalk`),
-    one row chunk's final rows, then the redrawn rows part by part, so a
-    random-law block holds one row chunk and its kept matrices; a kernel
-    without a walk is one whole-block piece, ``slice(0, size)``.  Integer
-    counts do not depend on the order of the pieces."""
+    piece over the loss kernel's walk (:func:`_walk`), each piece finished
+    to losses: a risk model's row chunks, or a random law's chunk rows and
+    then its redrawn rows part by part.  So a block holds one row chunk
+    (and a random law's kept matrices).  Integer counts do not depend on
+    the order of the pieces."""
     study, model, law = scenario.study, scenario.model, pair[0]
     x = _thresholds(study, model.d if law is None else 2)
     # the closed form may refuse its domain, so it comes before the draws
@@ -175,15 +199,14 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     n, cut = study.mc_budget, t * x
     per = n // N_BATCHES
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
-    draw = loss_blocks(scenario, law, z_stream, z_stream + 1)
-    walk = getattr(draw, "visit", None) or (
-        lambda b, size, take: take(slice(0, size), draw(b, size)))
+    visit, finish = _walk(loss_blocks(scenario, law, z_stream, z_stream + 1))
 
     def counts(b, size):
         """[joint hits, marginal hits, joint hits per batch] of block b"""
         out = np.zeros(2 + N_BATCHES, dtype=np.int64)
 
         def take(rows, xs):
+            xs = finish(xs)
             joint = xs[:, 0] > cut[0]
             for j in range(1, xs.shape[1]):
                 joint &= xs[:, j] > cut[j]
@@ -197,7 +220,7 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 out[2:] += np.bincount(batch[batch < N_BATCHES],
                                        minlength=N_BATCHES)
 
-        walk(b, size, take)
+        visit(b, size, take)
         return out
 
     total = rng.fold_blocks(n, counts, np.add,
@@ -262,49 +285,90 @@ def _top_rows(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[np.argpartition(rows[:, 1], cut)[cut:]]
 
 
-def _top_scored_rows(score: np.ndarray, k: int, finish) -> np.ndarray:
-    """:func:`_top_rows` of the losses ``finish(score)``, finishing only the
-    rows whose column-1 score is at or near the top k.  The band of
-    SCORE_TOL below the k-th largest score holds every row that rounding in
-    ``finish`` can lift into the top k."""
-    cut = len(score) - k
-    if cut <= 0:
-        return finish(score)
-    s = score[:, 1]
-    thr = np.partition(s, cut)[cut]
-    # compress copies the rows about 4x faster than a boolean index
-    near = np.compress(s >= thr - SCORE_TOL * max(1.0, abs(thr)), score, axis=0)
-    return _top_rows(finish(near), k)
-
-
 class _TopRows:
-    """The rows with the ``k`` largest y2 values among the rows added so far
-    from an ``n``-row sample, held as (y1, y2) rows of one buffer.
+    """Score rows of an ``n``-row sample that hold the rows with its ``k``
+    largest y2 losses, ``finish(score)``, in one buffer behind a running
+    floor.
 
-    Rows are buffered up to 2k (or n) and cut back to the top k by
-    :func:`_top_rows` when the buffer is full, so n rows cost O(n) time in
-    all and the buffer O(k) memory.  Added parts hold at most k rows.
+    The floor is the k-th largest column-1 score added so far, less the
+    SCORE_TOL band in which ``finish`` may misorder, so it only rises: a
+    row below it has k rows that finish at or above it.  :meth:`add`
+    admits the rows at or above the floor, and a full buffer is cut back,
+    in place, to the rows at or above the new floor, so n rows cost O(n)
+    time in all.  The buffer holds k rows and a slack of k/4, at least
+    2^16 and at most k rows (and n rows in all): a large buffer touches
+    less memory than 2k rows and is still cut only a few times.  A band of
+    ties that fills it doubles it.
     """
 
-    def __init__(self, k: int, n: int):
-        self.k, self.rows, self.size = k, np.empty((min(2 * k, n), 2)), 0
+    def __init__(self, k: int, n: int, finish=identity):
+        self.k, self.finish, self.size = k, finish, 0
+        self.rows = np.empty((min(n, k + min(k, max(k // 4, 1 << 16))), 2))
+        self.floor = -math.inf
 
     def add(self, rows: np.ndarray) -> None:
-        if self.size + len(rows) > len(self.rows):
-            self.rows[:self.k] = _top_rows(self.rows[:self.size], self.k)
-            self.size = self.k
-        self.rows[self.size:self.size + len(rows)] = rows
-        self.size += len(rows)
+        while True:
+            if self.floor > -math.inf:
+                rows = np.compress(rows[:, 1] >= self.floor, rows, axis=0)
+            room = len(self.rows) - self.size
+            fit = rows[:room]
+            self.rows[self.size:self.size + len(fit)] = fit
+            self.size += len(fit)
+            if len(rows) <= room:
+                return
+            rows = rows[room:]
+            self._cut()
+            if self.size == len(self.rows):
+                self.rows = np.concatenate([self.rows,
+                                            np.empty_like(self.rows)])
+
+    def _cut(self) -> None:
+        """Raise the floor to the k-th largest score, less its band, and
+        keep the rows at or above it."""
+        s = self.rows[:self.size, 1]
+        thr = np.partition(s, self.size - self.k)[self.size - self.k]
+        self.floor = thr - SCORE_TOL * max(1.0, abs(thr))
+        self._keep(s >= self.floor)
+
+    def _keep(self, mask: np.ndarray) -> None:
+        """Keep the buffered rows where ``mask`` is set, moved down chunk by
+        chunk: no row is written before it is read."""
+        size = 0
+        for lo, hi in rng.row_chunks(len(mask), 2):
+            part = np.compress(mask[lo:hi], self.rows[lo:hi], axis=0)
+            self.rows[size:size + len(part)] = part
+            size += len(part)
+        self.size = size
 
     def columns(self) -> tuple:
-        """(y1, y2) of the kept rows with y2 at or above the k-th largest
-        (the top k and the rows tied with the smallest of them), or of all
-        of them when there are at most k."""
+        """(y1, y2) losses of the kept rows with y2 at or above the k-th
+        largest (the top k and the rows tied with the smallest of them), or
+        of all of them when there are at most k.  The rows at or above the
+        final floor are finished here, once, in row chunks within the
+        buffer; the columns are copied out and the buffer let go."""
+        if self.size > self.k:
+            self._cut()
         rows = self.rows[:self.size]
+        for lo, hi in rng.row_chunks(self.size, 2):
+            rows[lo:hi] = self.finish(rows[lo:hi])
         cut = self.size - self.k
         if cut > 0:
-            rows = rows[rows[:, 1] >= np.partition(rows[:, 1], cut)[cut]]
-        return rows[:, 0], rows[:, 1]
+            self._keep(rows[:, 1] >= np.partition(rows[:, 1], cut)[cut])
+        rows, self.rows = self.rows[:self.size], None
+        return rows[:, 0].copy(), rows[:, 1].copy()
+
+
+def _batch_pieces(start: int, rows, n: int):
+    """``(batch, lo, hi)``: positions ``[lo, hi)`` of a walk piece's rows
+    ``rows`` (a slice or an ascending index array into a block starting at
+    sample row ``start``) in each of the N_BATCHES batches of an ``n``-row
+    sample that they reach."""
+    if isinstance(rows, slice):
+        return _batch_cuts(start + rows.start, rows.stop - rows.start, n)
+    bounds = np.searchsorted(start + rows,
+                             n // N_BATCHES * np.arange(N_BATCHES + 1))
+    return [(batch, lo, hi) for batch, (lo, hi)
+            in enumerate(zip(bounds[:-1], bounds[1:])) if lo < hi]
 
 
 def top_loss_rows(scenario: Scenario, law, gamma: float,
@@ -316,32 +380,31 @@ def top_loss_rows(scenario: Scenario, law, gamma: float,
     N_BATCHES batches (``var_top_count(n // N_BATCHES, gamma)`` rows
     each).  They hold the VaR of y2 at gamma and every row above it, so
     CoVaR at gamma, or at any smaller level, on them equals the
-    whole-sample computation, with memory O(n gamma).  The rows are picked
-    on the loss kernel's score (the latent normal of a Gaussian copula),
-    and only they are mapped to losses."""
+    whole-sample computation, with memory O(n gamma).  Each piece of the
+    loss kernel's walk (:func:`_walk`) goes to one :class:`_TopRows` per
+    target, the sample's and its batch's, which admit rows on the score
+    (the latent normal of a Gaussian copula) and finish only the rows they
+    keep, once, at the end.  Blocks on several threads add under a lock;
+    which rows tied at a VaR are kept does not change a CoVaR."""
     n = scenario.study.mc_budget
     per = n // N_BATCHES
-    k_all, k_batch = var_top_count(n, gamma), var_top_count(per, gamma)
-    kernel = loss_blocks(scenario, law, z_stream, a_stream)
-    # a kernel without a score (network losses) scores by its losses
-    score = getattr(kernel, "score", kernel)
-    finish = getattr(kernel, "finish", identity)
+    visit, finish = _walk(loss_blocks(scenario, law, z_stream, a_stream))
+    kept = [_TopRows(var_top_count(n, gamma), n, finish)] + [
+        _TopRows(var_top_count(per, gamma), per, finish)
+        for _ in range(N_BATCHES)]
+    lock = threading.Lock()
 
-    def tops(b, size):
-        rows = score(b, size)
-        return (_top_scored_rows(rows, k_all, finish),
-                [(batch, _top_scored_rows(rows[start:stop], k_batch, finish))
-                 for batch, start, stop
-                 in _batch_cuts(b * rng.BLOCK_SIZE, size, n)])
+    def walk(b, size):
+        def take(rows, xs):
+            with lock:
+                kept[0].add(xs)
+                for batch, lo, hi in _batch_pieces(b * rng.BLOCK_SIZE, rows,
+                                                   n):
+                    kept[1 + batch].add(xs[lo:hi])
 
-    def merge(acc, part):
-        acc[0].add(part[0])
-        for batch, rows in part[1]:
-            acc[1 + batch].add(rows)
-        return acc
+        visit(b, size, take)
 
-    kept = rng.fold_blocks(n, tops, merge, [_TopRows(k_all, n)] + [
-        _TopRows(k_batch, per) for _ in range(N_BATCHES)], threads)
+    rng.fold_blocks(n, walk, lambda acc, _: acc, None, threads)
     return [rows.columns() for rows in kept]
 
 

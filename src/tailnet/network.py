@@ -28,7 +28,8 @@ import numpy as np
 
 from . import rng
 # ``sample`` stays importable here: bench/tracing.py wraps network.sample
-from .copula import Gaussian, RiskModel, block_sampler, sample  # noqa: F401
+from .copula import (Gaussian, RiskModel, block_sampler, identity,  # noqa: F401
+                     sample)
 from .covar import (CASE_GAUSS, CASE_IID, CASE_MO_EQUAL, CASE_MO_PROP,
                     CASE_OVERLAP, EciReport, GSpec, _case_forms, _family_case,
                     gauss_constant_c)
@@ -287,23 +288,32 @@ def sample_adjacency_batch(law: ALaw, seed: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossWalk:
-    """A random law's loss block as a walk over its row chunks:
-    ``visit(b, size, take)`` hands ``take(rows, xs)`` the final losses
-    ``xs`` of block b's rows ``rows`` (an index array into the block), piece
-    by piece, each row once.  Called as ``(b, size)``, it returns the
-    ``(size, q)`` losses of the block."""
+    """A loss block as a walk over its row chunks: ``visit(b, size, take)``
+    hands ``take(rows, xs)`` the score rows ``xs`` of block b's rows
+    ``rows`` (a slice or an ascending index array into the block), piece
+    by piece, each row once, and ``finish`` maps score rows to losses
+    elementwise (a random law's pieces are already its losses).  Called as
+    ``(b, size)``, it returns the ``(size, q)`` losses of the block, and
+    :meth:`score` their scores."""
 
     visit: Callable
     q: int
+    finish: Callable = identity
 
-    def __call__(self, b: int, size: int) -> np.ndarray:
+    def _fill(self, b: int, size: int, fn) -> np.ndarray:
         x = np.empty((size, self.q))
 
         def put(rows, xs):
-            x[rows] = xs
+            x[rows] = fn(xs)
 
         self.visit(b, size, put)
         return x
+
+    def score(self, b: int, size: int) -> np.ndarray:
+        return self._fill(b, size, identity)
+
+    def __call__(self, b: int, size: int) -> np.ndarray:
+        return self._fill(b, size, self.finish)
 
 
 def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
@@ -316,13 +326,12 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     A random law's kernel is a :class:`LossWalk`: one pass over the
     :func:`_draw_exposures` row chunks of the network its reductions start
     from (they apply innermost first), each chunk's risk rows drawn by the
-    model's kernel on that chunk (a kernel without a ``row_width`` scores
-    the block whole and finishes it by chunk).  Each chunk hands over the
-    losses of its matrices with no all-zero agent row; the others' losses
-    follow part by part, from their kept risk rows, once their dead rows
-    are redrawn (in row chunks, the block layout unchanged).  So a walk
-    holds one row chunk and the kept matrices, never a ``(size, q, d)`` or
-    ``(size, q)`` array."""
+    model's kernel on that chunk (every kernel's score may be split into row
+    chunks).  Each chunk hands over the losses of its matrices with no
+    all-zero agent row; the others' losses follow part by part, from their
+    kept risk rows, once their dead rows are redrawn (in row chunks, the
+    block layout unchanged).  So a walk holds one row chunk and the kept
+    matrices, never a ``(size, q, d)`` or ``(size, q)`` array."""
     q, d = law_shape(law)
     if d != model.d:
         raise ModelError("network object count must match model dimension")
@@ -335,7 +344,7 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     while isinstance(base, AggregatedNetwork):
         chain.append(base)
         base = base.base
-    width = max(base.q * d, kernel.row_width or d)
+    width = max(base.q * d, kernel.row_width)
 
     def losses(a, z):
         for red in reversed(chain):
@@ -344,12 +353,10 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
 
     def visit(b, size, take):
         gz = rng.philox_stream(seed, z_stream, block=b)
-        whole = kernel.score(gz, size) if kernel.row_width is None else None
         kept_z = []
 
         def chunk(lo, a, dead):
-            z = kernel.finish(kernel.score(gz, len(a)) if whole is None
-                              else whole[lo:lo + len(a)])
+            z = kernel(gz, len(a))
             live = ~dead
             take(lo + np.flatnonzero(live),
                  np.compress(live, losses(a, z), axis=0))

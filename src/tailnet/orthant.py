@@ -3,7 +3,8 @@
 Two routes are provided on purpose:
 
 * :func:`bivariate_normal_survival` integrates the classical one-dimensional
-  correlation integral with adaptive quadrature.  It is deterministic,
+  correlation integral with adaptive quadrature, from -1 for a negative
+  correlation in the tail so that nothing cancels.  It is deterministic,
   accurate to ~1e-10 relative even for joint probabilities far into the
   tail, and serves as the independent oracle for the d = 2 case.
 * :func:`normal_orthant_survival` handles general dimension with the
@@ -54,6 +55,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 ROOT_STEPS = 100     # Newton steps before the tilt solve gives up
 ROOT_XTOL = 1e-8     # converged once a full step is this small, relative
+FIRST_POINTS = 512   # lattice points per shift before the first doubling
 
 
 def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
@@ -61,7 +63,11 @@ def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
 
     Uses the identity  P(Y1>h, Y2>k; rho) = Phi_bar(h) Phi_bar(k)
     + int_0^rho phi2(h, k; t) dt  with the bivariate normal density phi2.
-    ``scipy.integrate`` is loaded on the first call that integrates.
+    For rho < 0 that integral is negative and, in the tail, cancels the
+    product, so there with h + k > 0 it integrates from -1 instead, where
+    the probability is 0: P = int_{-1}^rho phi2(h, k; t) dt, a sum of
+    positive terms.  ``scipy.integrate`` is loaded on the first call that
+    integrates.
     """
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must lie in (-1, 1), got {rho}")
@@ -76,11 +82,14 @@ def bivariate_normal_survival(h: float, k: float, rho: float) -> float:
 
     def integrand(t):
         om = 1.0 - t * t
+        if om <= 0.0:       # t rounds to -1, where the density vanishes
+            return 0.0
         return math.exp(-(h * h - 2.0 * t * h * k + k * k) / (2.0 * om)) \
             / (2.0 * math.pi * math.sqrt(om))
 
-    corr, _ = quad(integrand, 0.0, rho, epsabs=0.0, epsrel=1e-11, limit=200)
-    return max(base + corr, 0.0)
+    lo = -1.0 if rho < 0.0 and h + k > 0.0 else 0.0
+    corr, _ = quad(integrand, lo, rho, epsabs=0.0, epsrel=1e-11, limit=200)
+    return max((base if lo == 0.0 else 0.0) + corr, 0.0)
 
 
 def _mills(a, log_sf):
@@ -180,8 +189,17 @@ def _tilt(off, bound, means):
 
 
 def _lattice_batch(dim: int, n: int, shift: np.ndarray) -> np.ndarray:
+    """The points a doubling to ``n`` points per shift adds to the lattice
+    rule: points 1..n at the first size, FIRST_POINTS, and n/2+1..n after."""
+    return _lattice_points(dim, n // 2 if n > FIRST_POINTS else 0, n, shift)
+
+
+def _lattice_points(dim: int, start: int, stop: int,
+                    shift: np.ndarray) -> np.ndarray:
+    """Points start+1..stop of the shifted Kronecker lattice; each point
+    depends only on its own index."""
     alpha = np.sqrt(_PRIMES[:dim])
-    k = np.arange(1, n + 1, dtype=float)[:, None]
+    k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
     pts = k * alpha[None, :] + shift[None, :]
     pts -= np.floor(pts)
     return pts
@@ -239,16 +257,15 @@ def normal_orthant_survival(lower, sigma, rel_tol: float = 1e-3,
     off = chol / scale[:, None] - np.eye(d)
     bound = lower[order] / scale
     mu = _tilt(off, bound, means)
-    n_shifts, done, n_points = 12, 0, 512
+    n_shifts, n_points = 12, FIRST_POINTS
     shifts = philox_stream(_INTERNAL_SEED, STREAM_ORTHANT).random(
         (n_shifts, d - 1))
     log_sums = np.full(n_shifts, -np.inf)
     while True:
         for j in range(n_shifts):
-            w = _lattice_batch(d - 1, n_points, shifts[j])[done:]
+            w = _lattice_batch(d - 1, n_points, shifts[j])
             log_sums[j] = np.logaddexp(
                 log_sums[j], logsumexp(_tilted_log_weights(off, bound, mu, w)))
-        done = n_points
         log_means = log_sums - math.log(n_points)
         top = log_means.max()
         vals = np.exp(log_means - top)

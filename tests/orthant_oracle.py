@@ -47,3 +47,31 @@ def one_factor_orthant(lower, lam) -> float:
     left, _ = quad(f, -np.inf, peak, epsabs=0.0, epsrel=1e-11, limit=400)
     right, _ = quad(f, peak, np.inf, epsabs=0.0, epsrel=1e-11, limit=400)
     return math.exp(top - 0.5 * math.log(2.0 * math.pi)) * (left + right)
+
+
+def bivariate_orthant(h: float, k: float, rho: float) -> float:
+    """P(Y1 > h, Y2 > k) for correlation rho, as the one-dimensional
+
+        int_h^inf phi(x) Phi_bar((k - rho x) / sqrt(1 - rho^2)) dx,
+
+    for h > 0 and rho < 0, where the integrand falls from its peak at
+    x = h.  It is evaluated in log space relative to that peak, with
+    breakpoints at a few multiples of its decay length there."""
+    s = math.sqrt(1.0 - rho * rho)
+
+    def log_f(x):
+        return -0.5 * x * x + float(log_ndtr(-(k - rho * x) / s))
+
+    top = log_f(h)
+    z = (k - rho * h) / s
+    mills = math.exp(-0.5 * z * z - float(log_ndtr(-z))) / math.sqrt(2 * math.pi)
+    scale = 1.0 / (h - rho / s * mills)
+
+    def f(u):
+        return math.exp(log_f(h + u) - top)
+
+    near, _ = quad(f, 0.0, 60.0 * scale, points=[scale, 5.0 * scale],
+                   epsabs=0.0, epsrel=1e-13, limit=400)
+    far, _ = quad(f, 60.0 * scale, np.inf, epsabs=0.0, epsrel=1e-13,
+                  limit=400)
+    return math.exp(top - 0.5 * math.log(2.0 * math.pi)) * (near + far)

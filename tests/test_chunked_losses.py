@@ -65,12 +65,6 @@ def test_chunk_calls_give_the_bytes_of_one_call(name):
         assert same_bytes(np.concatenate(parts), whole), step
 
 
-def test_gaussian_kernel_is_drawn_whole():
-    # a one-row matmul takes another BLAS path, so the score is not split
-    sigma = tn.CorrelationMatrix.equicorrelation(3, 0.4)
-    assert block_sampler(tn.RiskModel.gaussian(sigma, 1.0)).row_width is None
-
-
 def uniform_net(q, d, p):
     return tn.BipartiteNetwork(q, d, p, tn.WeightSpec("uniform", 0.5, 1.5))
 
@@ -245,3 +239,74 @@ def test_tail_point_block_and_closed_form_memory():
 def test_random_law_moments_refuse_fewer_than_two_draws(n_a):
     with pytest.raises(tn.DomainError):
         network.row_moment_sum(DISJOINT, 0, 1.0, n_a=n_a)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gaussian_chunk_calls_give_the_bytes_of_one_call(d):
+    # a one-row call is stacked with a zero row, so every row of every
+    # call is computed on the gemm path of one whole-block call
+    sigma = tn.CorrelationMatrix.equicorrelation(d, 0.4)
+    kernel = block_sampler(tn.RiskModel.gaussian(sigma, 1.0))
+    assert kernel.row_width == d
+    n = 8738 + 777 + 2
+    whole = kernel.score(rng.philox_stream(4, 0, 1), n)
+    for step in (1, 2, 777, 8738, n):
+        g = rng.philox_stream(4, 0, 1)
+        parts = [kernel.score(g, min(step, n - lo))
+                 for lo in range(0, n, step)]
+        assert same_bytes(np.concatenate(parts), whole), step
+        g = rng.philox_stream(4, 0, 1)
+        parts = [kernel(g, min(step, n - lo)) for lo in range(0, n, step)]
+        assert same_bytes(np.concatenate(parts),
+                          kernel(rng.philox_stream(4, 0, 1), n)), step
+
+
+def one_block_point(doc):
+    """A scenario of ``doc`` whose points draw one whole block."""
+    sc = parse_scenario(doc)
+    return dataclasses.replace(sc, study=dataclasses.replace(
+        sc.study, mc_budget=rng.BLOCK_SIZE))
+
+
+def test_gaussian_covar_block_memory():
+    # 32.7 MiB traced with a whole-block score, its normal draw and the
+    # partition copy; the walk holds one row chunk and the kept rows
+    sc = one_block_point({
+        "margin": {"alpha": 1.0, "theta": 1.0},
+        "dependence": {"kind": "gaussian",
+                       "sigma": [[1.0, 0.5], [0.5, 1.0]]},
+        "study": {"grid": [0.01], "mc_budget": 10_000, "seed": 1,
+                  "target": "covar"}})
+    pair = harness.study_pair(sc)
+    assert traced_peak(lambda: harness._covar_point(sc, pair, 0.01, 0)) \
+        < 8 << 20
+
+
+def test_mo_tail_point_block_memory():
+    # 96.0 MiB traced when the risk-model block was drawn whole
+    sc = one_block_point({
+        "margin": {"alpha": 1.0, "theta": 1.0},
+        "dependence": {"kind": "mo", "d": 4, "mo_variant": "equal"},
+        "study": {"grid": [10.0], "mc_budget": 10_000, "seed": 1}})
+    pair = harness.study_pair(sc)
+    assert traced_peak(lambda: harness._tail_point(sc, pair, 10.0, 0)) \
+        < 8 << 20
+
+
+def test_network_covar_block_memory():
+    # 41.1 MiB traced when the walk filled the (size, 2) losses; the walk's
+    # kept matrices (about 17% of the block, with their risk rows) stay
+    doc = {"margin": {"alpha": 1.0, "theta": 1.0},
+           "dependence": {"kind": "mo", "d": 4, "mo_variant": "equal"},
+           "network": {"q": 3, "d": 4,
+                       "edge_prob": [[0.7, 0.7, 0.0, 0.0],
+                                     [0.0, 0.0, 0.7, 0.7],
+                                     [0.5, 0.5, 0.5, 0.5]],
+                       "weights": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+           "study": {"grid": [0.01], "mc_budget": 10_000, "seed": 1,
+                     "target": "covar"}}
+    sc = one_block_point(doc)
+    pair = harness.study_pair(sc)
+    harness._covar_point(parse_scenario(doc), pair, 0.01, 0)  # moment draws
+    assert traced_peak(lambda: harness._covar_point(sc, pair, 0.01, 0)) \
+        < 28 << 20

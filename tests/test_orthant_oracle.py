@@ -10,9 +10,11 @@ import pytest
 from scipy.special import ndtri
 
 import tailnet.orthant as orthant
+from tailnet.copula import RiskModel, survival_copula
 from tailnet.orthant import normal_orthant_survival
 
-from orthant_oracle import one_factor_orthant, one_factor_sigma
+from orthant_oracle import (bivariate_orthant, one_factor_orthant,
+                            one_factor_sigma)
 
 
 def loadings(kind, d):
@@ -139,3 +141,32 @@ def test_equicorrelated_d3_values_stay_pinned(lower, want):
     got = normal_orthant_survival(np.broadcast_to(lower, 3), sigma,
                                   return_error=True)
     assert got == want
+
+
+NEGATIVE_RHO = [(-0.9, 1e-8), (-0.7, 1e-8), (-0.3, 1e-8), (-0.05, 1e-8),
+                (-0.99, 1e-6)]
+
+
+@pytest.mark.parametrize("rho, tol", NEGATIVE_RHO)
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+def test_negative_rho_bivariate_matches_the_one_dimensional_form(rho, tol,
+                                                                 ratio):
+    # the integral from 0 cancelled Phi_bar(h) Phi_bar(k) and returned 0
+    # from t = 1e4 on at rho = -0.7; values below the smallest double are 0
+    for t in 10.0 ** np.arange(1, 9):
+        h = float(-ndtri(1.0 / t))
+        want = bivariate_orthant(h, ratio * h, rho)
+        got = orthant.bivariate_normal_survival(h, ratio * h, rho)
+        assert got == pytest.approx(want, rel=tol, abs=0.0), (t, got, want)
+        if rho >= -0.9:
+            assert want > 0.0
+
+
+def test_negative_rho_survival_copula_in_the_deep_tail():
+    model = RiskModel.gaussian([[1.0, -0.7], [-0.7, 1.0]], 1.0)
+    u = 1e-4
+    h = float(-ndtri(u))
+    want = bivariate_orthant(h, h, -0.7)
+    assert want > 1e-24
+    assert survival_copula(model, [u, u]) == pytest.approx(want, rel=1e-8,
+                                                           abs=0.0)

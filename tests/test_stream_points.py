@@ -297,3 +297,29 @@ def test_walked_tail_points_equal_materialised_rows(target):
             got = row_bytes(harness._tail_point(sc, pair, value, index,
                                                 threads))
             assert got == want, (value, threads)
+
+
+def test_top_rows_grow_past_a_band_of_ties():
+    # every y2 ties: each cut keeps the whole band, so the buffer doubles
+    rows = np.column_stack([np.arange(1000.0), np.full(1000, 2.0)])
+    top = harness._TopRows(10, len(rows))
+    for lo in range(0, len(rows), 64):
+        top.add(rows[lo:lo + 64])
+    y1, y2 = top.columns()
+    assert sorted(y1) == list(range(1000)) and np.all(y2 == 2.0)
+
+
+def test_batch_pieces_of_index_rows_follow_the_row_batches():
+    n, size = 1000, 64           # 31 rows a batch, 8 rows past the last batch
+    per = n // harness.N_BATCHES
+    g = np.random.default_rng(3)
+    for start in range(0, n, size):
+        rows = np.flatnonzero(g.random(min(size, n - start)) < 0.6)
+        pieces = list(harness._batch_pieces(start, rows, n))
+        got = np.full(len(rows), -1)
+        for batch, lo, hi in pieces:
+            assert lo < hi and np.all(got[lo:hi] == -1)
+            got[lo:hi] = batch
+        want = (start + rows) // per
+        assert np.array_equal(got, np.where(want < harness.N_BATCHES,
+                                            want, -1))
