@@ -56,7 +56,7 @@ class StudyRow:
 def _batch_cuts(lo: int, size: int, n: int):
     """``(batch, start, stop)``: the pieces of rows ``[lo, lo + size)`` of an
     ``n``-row sample in each of its N_BATCHES consecutive batches of
-    ``n // N_BATCHES`` rows, as offsets into the block.  Rows past the last
+    ``n // N_BATCHES`` rows, as offsets from ``lo``.  Rows past the last
     batch belong to none."""
     per = n // N_BATCHES
     stop = min(lo + size, per * N_BATCHES)
