@@ -51,7 +51,7 @@ def _emit(text, out) -> None:
 
 
 def _cmd_sample(scenario: Scenario, args):
-    """The CSV of :func:`copula.sample`'s draws in parts, block by block."""
+    """The CSV of :func:`copula.sample`'s draws, row chunk by row chunk."""
     study, d = scenario.study, scenario.model.d
     n = args.n if args.n is not None else \
         (study.mc_budget if study else 10_000)
@@ -59,17 +59,17 @@ def _cmd_sample(scenario: Scenario, args):
     seed = study.seed if study else (args.seed or 0)
     if args.out and args.out.endswith(".json"):
         raise DomainError("sample writes CSV; --out must not end in .json")
-    # both refuse here, before the header is written
-    plan = rng.blocks(n)
-    draw = rng.seeded(seed, rng.STREAM_RISK, block_sampler(scenario.model))
+    # a bad size, model or seed is refused here, before the header is written
+    plan, kernel = rng.blocks(n), block_sampler(scenario.model)
+    rng.philox_stream(seed, rng.STREAM_RISK)
 
     def parts():
         yield ",".join(f"z{j + 1}" for j in range(d)) + "\n"
         for b, size in plan:
-            z = draw(b, size)
-            for lo, hi in rng.row_chunks(size, d):
+            g = rng.philox_stream(seed, rng.STREAM_RISK, block=b)
+            for lo, hi in rng.row_chunks(size, kernel.row_width):
                 yield "".join(",".join(map(repr, row)) + "\n"
-                              for row in z[lo:hi].tolist())
+                              for row in kernel(g, hi - lo).tolist())
 
     return parts()
 

@@ -293,6 +293,14 @@ def identity(rows):
     return rows
 
 
+def gemm_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` with each row on BLAS's gemm path, so row chunks give one
+    call's bytes: a one-row ``x`` (numpy's gemv) is stacked with a zero row."""
+    if len(x) == 1:
+        return (np.vstack([x, np.zeros_like(x)]) @ m)[:1]
+    return x @ m
+
+
 @dataclass(frozen=True)
 class BlockKernel:
     """A block sampler in two parts.  ``score(*args)`` draws the cheapest
@@ -323,18 +331,13 @@ def block_sampler(model: RiskModel, mo_dim_cap: int = MO_DIM_CAP) -> BlockKernel
     here, not once per block.  A Gaussian kernel's score is the latent
     normal vector, which the Pareto margin maps up monotonically; the
     independence and Marshall-Olkin scores are the draws themselves.  Every
-    kernel has a ``row_width``.  The Gaussian score's matmul computes each
-    row on BLAS's gemm path whatever the call's length: a one-row call,
-    which numpy would send to gemv, is stacked with a zero row first."""
+    kernel has a ``row_width`` (the Gaussian matmul is :func:`gemm_rows`)."""
     dep, margin = model.dependence, model.margin
     if isinstance(dep, Gaussian):
         chol_t = np.linalg.cholesky(dep.sigma.entries).T
 
         def score(g, size):
-            z = g.standard_normal((size, model.d))
-            if size == 1:
-                return (np.vstack([z, np.zeros_like(z)]) @ chol_t)[:1]
-            return z @ chol_t
+            return gemm_rows(g.standard_normal((size, model.d)), chol_t)
 
         def finish(y):
             return margin.quantile_tail(np.clip(ndtr(-y), 1e-300, 1.0))

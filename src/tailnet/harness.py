@@ -9,11 +9,11 @@ fixed-size counter blocks, and rows are emitted in grid order, so the CSV
 bytes do not depend on the thread count.
 
 A point never holds its whole sample, nor a whole block: it walks each loss
-block in row chunks (:func:`_walk`; a random law's redrawn rows follow in
-parts) over the blocks of :func:`rng.fold_blocks`, counting tail hits per
-piece, or admitting CoVaR rows per piece into buffers behind a running
-floor on the score.  It gets the same bytes as the statistics of the whole
-sample.
+block, a :class:`tailnet.network.LossWalk`, in row chunks (:func:`_walk`; a
+random law's redrawn rows follow in parts) over :func:`rng.fold_blocks`,
+counting tail hits per piece and batch (:func:`_batch_bounds`), or admitting
+CoVaR rows per piece into buffers behind a running floor on the score.  It
+gets the same bytes as the statistics of the whole sample.
 """
 
 from __future__ import annotations
@@ -53,19 +53,29 @@ class StudyRow:
     flag: str = ""
 
 
-def _batch_cuts(lo: int, size: int, n: int):
-    """``(batch, start, stop)``: the pieces of rows ``[lo, lo + size)`` of an
-    ``n``-row sample in each of its N_BATCHES consecutive batches of
-    ``n // N_BATCHES`` rows, as offsets from ``lo``.  Rows past the last
-    batch belong to none."""
-    per = n // N_BATCHES
-    stop = min(lo + size, per * N_BATCHES)
-    row = lo
-    while row < stop:
-        batch = row // per
-        end = min((batch + 1) * per, stop)
-        yield batch, row - lo, end - lo
-        row = end
+def _batch_bounds(start: int, rows, n: int) -> np.ndarray:
+    """The N_BATCHES + 1 bounds of an ``n``-row sample's batches of
+    ``n // N_BATCHES`` rows as positions in a piece, rows ``rows`` (a slice
+    or an ascending index array) of a block from sample row ``start``: batch
+    i holds ``[bounds[i], bounds[i + 1])``, and rows past the last, none."""
+    cuts = n // N_BATCHES * np.arange(N_BATCHES + 1) - start
+    if isinstance(rows, slice):
+        return np.clip(cuts - rows.start, 0, rows.stop - rows.start)
+    return np.searchsorted(rows, cuts)
+
+
+def _batch_pieces(start: int, rows, n: int) -> list:
+    """``(batch, lo, hi)``: a piece's positions ``[lo, hi)`` in each batch
+    it reaches (:func:`_batch_bounds`)."""
+    bounds = _batch_bounds(start, rows, n)
+    return [(batch, lo, hi) for batch, (lo, hi)
+            in enumerate(zip(bounds[:-1], bounds[1:])) if lo < hi]
+
+
+def _batch_cuts(lo: int, size: int, n: int) -> list:
+    """``(batch, start, stop)``: rows ``[lo, lo + size)`` of an ``n``-row
+    sample in each batch they reach, as offsets from ``lo``."""
+    return _batch_pieces(lo, slice(0, size), n)
 
 
 def _batch_stderr(counts: np.ndarray, per: int) -> float:
@@ -109,30 +119,21 @@ def study_pair(scenario: Scenario) -> tuple:
 def loss_blocks(scenario: Scenario, law, z_stream: int, a_stream: int):
     """Per-block kernel ``(b, size)`` of the study's losses: block b of the
     (n, 2) agent losses of the pair law ``law``, or of the (n, d) risk
-    vectors when ``law`` is None.  The risk vectors' kernel is a
-    :class:`tailnet.network.LossWalk` over the model's score in
-    ``rng.row_chunks``, with the model's finish; a block kernel without a
-    row width is one whole-block piece."""
+    vectors when ``law`` is None, each a :class:`tailnet.network.LossWalk`;
+    the risk vectors' is the :func:`tailnet.network.row_walk` of this
+    module's ``block_sampler``."""
     seed = scenario.study.seed
     if law is not None:
         return net.loss_sampler(law, scenario.model, seed, z_stream, a_stream)
-    kernel = block_sampler(scenario.model)
-
-    def visit(b, size, take):
-        g = rng.philox_stream(seed, z_stream, block=b)
-        chunks = rng.row_chunks(size, kernel.row_width) \
-            if kernel.row_width else [(0, size)]
-        for lo, hi in chunks:
-            take(slice(lo, hi), kernel.score(g, hi - lo))
-
-    return net.LossWalk(visit, scenario.model.d, kernel.finish)
+    return net.row_walk(block_sampler(scenario.model), seed, z_stream,
+                        scenario.model.d)
 
 
 def _walk(kernel) -> tuple:
     """``(visit, finish)`` of a :func:`loss_blocks` kernel:
     ``visit(b, size, take)`` hands ``take(rows, xs)`` block b's score rows
     piece by piece, and ``finish`` maps them to losses.  A plain callable
-    (a test's stand-in) is one whole-block piece of its losses."""
+    (only a test's stand-in) is one whole-block piece of its losses."""
     if isinstance(kernel, net.LossWalk):
         return kernel.visit, kernel.finish
     return (lambda b, size, take: take(slice(0, size), kernel(b, size))), \
@@ -188,16 +189,15 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
     """Monte Carlo tail probability of one grid point next to its closed
     form.  The joint, marginal and per-batch joint hits are counted piece by
     piece over the loss kernel's walk (:func:`_walk`), each piece finished
-    to losses: a risk model's row chunks, or a random law's chunk rows and
-    then its redrawn rows part by part.  So a block holds one row chunk
-    (and a random law's kept matrices).  Integer counts do not depend on
-    the order of the pieces."""
+    to losses: a risk model's or a fixed matrix's row chunks, or a random
+    law's chunk rows and then its redrawn rows part by part.  So a block
+    holds one row chunk (and a random law's kept matrices).  Integer counts
+    do not depend on the order of the pieces."""
     study, model, law = scenario.study, scenario.model, pair[0]
     x = _thresholds(study, model.d if law is None else 2)
     # the closed form may refuse its domain, so it comes before the draws
     asym = _tail_asymptotic(scenario, pair, x, t)
     n, cut = study.mc_budget, t * x
-    per = n // N_BATCHES
     z_stream = rng.STREAM_STUDY_BASE + 2 * index
     visit, finish = _walk(loss_blocks(scenario, law, z_stream, z_stream + 1))
 
@@ -211,14 +211,11 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
             for j in range(1, xs.shape[1]):
                 joint &= xs[:, j] > cut[j]
             hit = np.flatnonzero(joint)
-            hit = rows.start + hit if isinstance(rows, slice) else rows[hit]
             out[0] += len(hit)
             if study.target == "cond":
                 out[1] += np.count_nonzero(xs[:, 1] > cut[1])
-            if per:
-                batch = (b * rng.BLOCK_SIZE + hit) // per
-                out[2:] += np.bincount(batch[batch < N_BATCHES],
-                                       minlength=N_BATCHES)
+            out[2:] += np.diff(np.searchsorted(
+                hit, _batch_bounds(b * rng.BLOCK_SIZE, rows, n)))
 
         visit(b, size, take)
         return out
@@ -356,19 +353,6 @@ class _TopRows:
             self._keep(rows[:, 1] >= np.partition(rows[:, 1], cut)[cut])
         rows, self.rows = self.rows[:self.size], None
         return rows[:, 0].copy(), rows[:, 1].copy()
-
-
-def _batch_pieces(start: int, rows, n: int):
-    """``(batch, lo, hi)``: positions ``[lo, hi)`` of a walk piece's rows
-    ``rows`` (a slice or an ascending index array into a block starting at
-    sample row ``start``) in each of the N_BATCHES batches of an ``n``-row
-    sample that they reach."""
-    if isinstance(rows, slice):
-        return _batch_cuts(start + rows.start, rows.stop - rows.start, n)
-    bounds = np.searchsorted(start + rows,
-                             n // N_BATCHES * np.arange(N_BATCHES + 1))
-    return [(batch, lo, hi) for batch, (lo, hi)
-            in enumerate(zip(bounds[:-1], bounds[1:])) if lo < hi]
 
 
 def top_loss_rows(scenario: Scenario, law, gamma: float,

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import rng
 # ``sample`` stays importable here: bench/tracing.py wraps network.sample
-from .copula import (Gaussian, RiskModel, block_sampler, identity,  # noqa: F401
-                     sample)
+from .copula import (Gaussian, RiskModel, block_sampler,  # noqa: F401
+                     gemm_rows, identity, sample)
 from .covar import (CASE_GAUSS, CASE_IID, CASE_MO_EQUAL, CASE_MO_PROP,
                     CASE_OVERLAP, EciReport, GSpec, _case_forms, _family_case,
                     gauss_constant_c)
@@ -292,9 +292,9 @@ class LossWalk:
     hands ``take(rows, xs)`` the score rows ``xs`` of block b's rows
     ``rows`` (a slice or an ascending index array into the block), piece
     by piece, each row once, and ``finish`` maps score rows to losses
-    elementwise (a random law's pieces are already its losses).  Called as
-    ``(b, size)``, it returns the ``(size, q)`` losses of the block, and
-    :meth:`score` their scores."""
+    elementwise (a network's pieces are already its losses).  Every study
+    kernel is one.  Called as ``(b, size)``, it returns the ``(size, q)``
+    losses of the block, and :meth:`score` their scores."""
 
     visit: Callable
     q: int
@@ -316,14 +316,34 @@ class LossWalk:
         return self._fill(b, size, self.finish)
 
 
+def row_walk(kernel, seed: int, z_stream: int, q: int,
+             m_t: Optional[np.ndarray] = None) -> LossWalk:
+    """The :class:`LossWalk` of a block kernel's draws on the ``(seed,
+    z_stream)`` stream: block b's score rows in ``rng.row_chunks(size,
+    kernel.row_width)`` (one whole-block piece for a kernel with no width)
+    and the kernel's finish, or, given a transposed matrix ``m_t``, each
+    piece's losses ``gemm_rows(finish(z), m_t)``."""
+    piece = identity if m_t is None else \
+        (lambda z: gemm_rows(kernel.finish(z), m_t))
+
+    def visit(b, size, take):
+        g = rng.philox_stream(seed, z_stream, block=b)
+        for lo, hi in rng.row_chunks(size, kernel.row_width) \
+                if kernel.row_width else [(0, size)]:
+            take(slice(lo, hi), piece(kernel.score(g, hi - lo)))
+
+    return LossWalk(visit, q, kernel.finish if m_t is None else identity)
+
+
 def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
-                 a_stream: int):
+                 a_stream: int) -> LossWalk:
     """Per-block kernel ``(b, size) -> (size, q)`` draws of X = A Z: block b
     of the z stream, times block b of the a stream when A is random (a fresh
     (A, Z) per draw).  Per-block matmul and einsum return the same bytes as
     over the whole sample.
 
-    A random law's kernel is a :class:`LossWalk`: one pass over the
+    A fixed matrix's kernel is the model's :func:`row_walk` times it.  A
+    random law's kernel is a :class:`LossWalk` of one pass over the
     :func:`_draw_exposures` row chunks of the network its reductions start
     from (they apply innermost first), each chunk's risk rows drawn by the
     model's kernel on that chunk (every kernel's score may be split into row
@@ -337,9 +357,7 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
         raise ModelError("network object count must match model dimension")
     kernel = block_sampler(model)
     if is_deterministic(law):
-        draw_z = rng.seeded(seed, z_stream, kernel)
-        m_t = law_matrix(law).T
-        return lambda b, size: draw_z(b, size) @ m_t
+        return row_walk(kernel, seed, z_stream, q, law_matrix(law).T)
     chain, base = [], law           # the reductions, outermost first
     while isinstance(base, AggregatedNetwork):
         chain.append(base)

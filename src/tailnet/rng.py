@@ -126,13 +126,6 @@ def row_chunks(n: int, row_width: int):
         yield lo, min(lo + step, n)
 
 
-def seeded(seed: int, stream: int, draw):
-    """Block kernel ``(b, size) -> draw(generator of block b, size)`` on the
-    ``(seed, stream)`` stream; a seed outside 64 bits is refused at the call."""
-    philox_stream(seed, stream)
-    return lambda b, size: draw(philox_stream(seed, stream, block=b), size)
-
-
 def fold_blocks(n, work, combine, init, threads=DEFAULT_THREADS,
                 block_size=BLOCK_SIZE):
     """Fold ``acc = combine(acc, work(b, size))`` over the blocks of ``n``
@@ -183,7 +176,8 @@ def sample_blocked(n, seed, stream, draw, threads=DEFAULT_THREADS,
     Blocks are stacked in index order, so the result is independent of
     ``threads``.
     """
-    return concat_blocks(n, seeded(seed, stream, draw), threads, block_size)
+    return concat_blocks(n, lambda b, size: draw(
+        philox_stream(seed, stream, block=b), size), threads, block_size)
 
 
 def reduce_blocked(n, seed, stream, draw, combine, init,
@@ -193,5 +187,5 @@ def reduce_blocked(n, seed, stream, draw, combine, init,
     Used for counting/summing over sample sizes too large to materialise;
     ``combine`` is applied in block-index order regardless of thread count.
     """
-    return fold_blocks(n, seeded(seed, stream, draw), combine, init, threads,
-                       block_size)
+    return fold_blocks(n, lambda b, size: draw(philox_stream(
+        seed, stream, block=b), size), combine, init, threads, block_size)
