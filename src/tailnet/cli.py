@@ -50,8 +50,14 @@ def _emit(text, out) -> None:
             fh.writelines(parts)
 
 
+# CSV rows formatted at a time: a narrow model's draw chunk holds tens of
+# thousands of rows, whose text would outweigh the draws.
+_CSV_ROWS = 4096
+
+
 def _cmd_sample(scenario: Scenario, args):
-    """The CSV of :func:`copula.sample`'s draws, row chunk by row chunk."""
+    """The CSV of :func:`copula.sample`'s draws, row chunk by row chunk,
+    formatted ``_CSV_ROWS`` rows at a time."""
     study, d = scenario.study, scenario.model.d
     n = args.n if args.n is not None else \
         (study.mc_budget if study else 10_000)
@@ -68,8 +74,11 @@ def _cmd_sample(scenario: Scenario, args):
         for b, size in plan:
             g = rng.philox_stream(seed, rng.STREAM_RISK, block=b)
             for lo, hi in rng.row_chunks(size, kernel.row_width):
-                yield "".join(",".join(map(repr, row)) + "\n"
-                              for row in kernel(g, hi - lo).tolist())
+                z = kernel(g, hi - lo)
+                for i in range(0, len(z), _CSV_ROWS):
+                    yield "".join(",".join(map(repr, row)) + "\n"
+                                  for row in z[i:i + _CSV_ROWS].tolist())
+                del z               # not held through the next chunk's draw
 
     return parts()
 

@@ -9,8 +9,9 @@ fixed-size counter blocks, and rows are emitted in grid order, so the CSV
 bytes do not depend on the thread count.
 
 A point never holds its whole sample, nor a whole block: it walks each loss
-block, a :class:`tailnet.network.LossWalk`, in row chunks (:func:`_walk`; a
-random law's redrawn rows follow in parts) over :func:`rng.fold_blocks`,
+block, a :class:`tailnet.network.LossWalk`, in row chunks (:func:`_walk`;
+every production walk hands over whole chunks as slices, a random law's
+with its redraw rounds already settled) over :func:`rng.fold_blocks`,
 counting tail hits per piece and batch (:func:`_batch_bounds`), or admitting
 CoVaR rows per piece into buffers behind a running floor on the score.  It
 gets the same bytes as the statistics of the whole sample.
@@ -55,9 +56,10 @@ class StudyRow:
 
 def _batch_bounds(start: int, rows, n: int) -> np.ndarray:
     """The N_BATCHES + 1 bounds of an ``n``-row sample's batches of
-    ``n // N_BATCHES`` rows as positions in a piece, rows ``rows`` (a slice
-    or an ascending index array) of a block from sample row ``start``: batch
-    i holds ``[bounds[i], bounds[i + 1])``, and rows past the last, none."""
+    ``n // N_BATCHES`` rows as positions in a piece, rows ``rows`` (a slice,
+    or an ascending index array from a test's stand-in walk) of a block
+    from sample row ``start``: batch i holds ``[bounds[i], bounds[i + 1])``,
+    and rows past the last, none."""
     cuts = n // N_BATCHES * np.arange(N_BATCHES + 1) - start
     if isinstance(rows, slice):
         return np.clip(cuts - rows.start, 0, rows.stop - rows.start)
@@ -188,11 +190,10 @@ def _tail_point(scenario: Scenario, pair: tuple, t: float, index: int,
                 threads: int = 1) -> StudyRow:
     """Monte Carlo tail probability of one grid point next to its closed
     form.  The joint, marginal and per-batch joint hits are counted piece by
-    piece over the loss kernel's walk (:func:`_walk`), each piece finished
-    to losses: a risk model's or a fixed matrix's row chunks, or a random
-    law's chunk rows and then its redrawn rows part by part.  So a block
-    holds one row chunk (and a random law's kept matrices).  Integer counts
-    do not depend on the order of the pieces."""
+    piece over the loss kernel's walk (:func:`_walk`), each piece a row
+    chunk finished to losses.  So a block holds one row chunk (and, for a
+    random law, its packed edges and the rows its later redraw rounds
+    settled).  Integer counts do not depend on the order of the pieces."""
     study, model, law = scenario.study, scenario.model, pair[0]
     x = _thresholds(study, model.d if law is None else 2)
     # the closed form may refuse its domain, so it comes before the draws

@@ -58,10 +58,26 @@ class WeightSpec:
         if self.kind == "point" and self.lo != self.hi:
             raise ModelError("point weights need lo == hi")
 
+    @property
+    def draws(self) -> int:
+        """64-bit draws per weight: 0 if it is fixed (lo == hi), else 1."""
+        return int(self.kind == "uniform" and self.lo != self.hi)
+
     def draw(self, g: np.random.Generator, shape):
-        if self.kind == "point" or self.lo == self.hi:
+        if not self.draws:
             return np.full(shape, self.lo)
         return self.lo + (self.hi - self.lo) * g.random(shape)
+
+    def draw_on(self, g: np.random.Generator, edges: np.ndarray) -> np.ndarray:
+        """``draw(g, edges.shape) * edges``, zero off the edges, with the
+        uniforms scaled in place by the same IEEE operations."""
+        if not self.draws:
+            return np.multiply(edges, self.lo)
+        a = g.random(edges.shape)
+        a *= self.hi - self.lo
+        a += self.lo
+        a *= edges
+        return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,40 +185,40 @@ def select_rows(law: ALaw, k: int, m: int) -> ALaw:
     return _row_reduction(law, [k], [m], "sum")      # one-row sums are exact
 
 
-def _fold_columns(op, mask: np.ndarray) -> np.ndarray:
-    """``op.reduce(mask, axis=-1)`` for a bool ``mask`` and a logical ufunc
-    ``op``, one pass per column: numpy reduces a short last axis about 5x
-    slower."""
+def _fold_columns(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=-1)`` for a bool ``mask``, one pass per column: numpy
+    reduces a short last axis about 5x slower."""
     out = mask[..., 0].copy()
     for j in range(1, mask.shape[-1]):
-        op(out, mask[..., j], out=out)
+        np.logical_or(out, mask[..., j], out=out)
     return out
 
 
 def _draw_exposures(net: BipartiteNetwork, g: np.random.Generator, n: int,
                     width: int, visit):
-    """Draw ``n`` exposure matrices conditioned on no all-zero agent row in
-    one pass over row chunks of ``rng.chunk_rows(width)`` rows, ``width``
-    at least ``q d``.
+    """Draw ``n`` exposure matrices conditioned on no all-zero agent row and
+    hand them to ``visit(lo, a)`` in row chunks of ``rng.chunk_rows(width)``
+    rows, ``width`` at least ``q d``: chunk ``a`` holds matrices ``lo`` on,
+    final, so ``visit`` never sees an all-zero agent row.
 
-    Each chunk's matrices go to ``visit(lo, a, dead)`` with their all-zero
-    agent rows still in place; ``dead`` marks the chunk's matrices that
-    have one.  Those matrices are kept, one part per chunk, and after the
-    last chunk their all-zero rows are redrawn (edges, then weights) until
-    none is left.  Returns the parts as ``(rows, a)`` pairs: the kept
-    matrices' indices in ``[0, n)`` and the redrawn matrices.
-    RNG-order contract (the block layout in :mod:`tailnet.rng`): the edges
-    are drawn from ``g``, the weights and then the redraw rounds from a
-    second generator placed ``n q d`` draws past ``g``, and each round
-    visits the rows still dead in row-major order.  A round of ``R`` dead
-    rows is drawn part by part, so in row chunks (a part holds at most one
-    chunk's matrices): the edges from the round's start, the weights from a
-    generator placed ``R d`` draws past it (a section of no draws for point
-    weights).  So the bytes do not depend on the chunking, and a round holds
-    no ``(R, d)`` array.  Weights are > 0, so a row is dead exactly
-    when it has no edge.  A law with an agent row that is nonzero with
-    probability below MIN_ROW_LIVE_PROB raises CapacityError before any
-    draw, as its redraw loop would not end in practice.
+    RNG-order contract (the block layout in :mod:`tailnet.rng`): from
+    ``g``, the edge uniforms, then the weights, then the redraw rounds,
+    each round the edges and then the weights of the agent rows still
+    all-zero, in row-major order.  A round of ``R`` rows has its weights
+    ``R d`` draws past its start, so the rounds are settled before any
+    chunk is visited, in two passes over the chunks.  Pass 1 draws each
+    chunk's edges, kept packed one bit each (``q d / 8`` bytes a matrix),
+    and the round-1 edges of its dead rows, each at its row-major ordinal
+    from round 1's start; then :func:`_settle` runs rounds 2, 3, ... on the
+    rows still dead.  Pass 2 unpacks each chunk's edges, draws its weights
+    and its round-1 weights (``R1 d`` past round 1's start), pastes in its
+    rows settled later and visits it.  So a block holds three generators
+    whatever its rounds (``g``, round 1's and round 2's), its packed edges
+    and the rows settled after round 1, never a ``(n, q, d)`` array, and
+    the bytes do not depend on the chunking.  Weights are > 0, so a row is
+    dead exactly when it has no edge.  A law with an agent row that is
+    nonzero with probability below MIN_ROW_LIVE_PROB raises CapacityError
+    before any draw, as its redraw loop would not end in practice.
     """
     q, d = net.q, net.d
     live = 1.0 - np.prod(1.0 - net.edge_prob, axis=1)
@@ -213,44 +229,70 @@ def _draw_exposures(net: BipartiteNetwork, g: np.random.Generator, n: int,
             f"below {MIN_ROW_LIVE_PROB:g}: conditioning on no all-zero row "
             f"would redraw it about {1 / live[k]:.3g} times",
             MIN_ROW_LIVE_PROB)
-    gw = rng.positioned(g, n * q * d)
-    parts, pending = [], []             # pending: (part, its dead rows)
-    for lo, hi in rng.row_chunks(n, width):
+    per = net.weights.draws
+    chunks = list(rng.row_chunks(n, width))
+    g1 = rng.positioned(g, n * q * d * (1 + per))    # round 1's start
+    packed, r1, later = [], 0, [np.empty(0, dtype=np.intp)]
+    for lo, hi in chunks:
         edges = g.random((hi - lo, q, d)) < net.edge_prob
-        a = net.weights.draw(gw, edges.shape) * edges
-        has_edge = _fold_columns(np.logical_or, edges)
-        dead = ~_fold_columns(np.logical_and, has_edge)
-        visit(lo, a, dead)
-        if dead.any():
-            # compress copies the rows about 3x faster than a boolean index
-            kept = np.compress(dead, a, axis=0)
-            parts.append((lo + np.flatnonzero(dead), kept))
-            pending.append((kept, np.argwhere(
-                ~np.compress(dead, has_edge, axis=0))))
-    while pending:
-        gw_next = rng.positioned(gw, d * sum(len(idx) for _, idx in pending))
-        left = []
-        for a, idx in pending:
-            ne = gw.random((len(idx), d)) < net.edge_prob[idx[:, 1]]
-            nw = net.weights.draw(gw_next, (len(idx), d))
-            # a row drawn without an edge is written as the zeros it holds
-            a[idx[:, 0], idx[:, 1]] = np.where(ne, nw, 0.0)
-            dead = ~_fold_columns(np.logical_or, ne)
-            if dead.any():
-                left.append((a, np.compress(dead, idx, axis=0)))
-        pending, gw = left, gw_next
-    return parts
+        dead = np.flatnonzero(~_fold_columns(edges))
+        edges1 = g1.random((len(dead), d)) < net.edge_prob[dead % q]
+        packed.append((np.packbits(edges.ravel()),
+                       np.packbits(edges1.ravel())))
+        r1 += len(dead)
+        later.append(lo * q + dead[~_fold_columns(edges1)])
+    later = np.concatenate(later)
+    settled = _settle(net, rng.positioned(g1, r1 * d * per), later)
+    # g now reads the weights, g1 round 1's weights
+    done = 0
+    for (lo, hi), (bits, bits1) in zip(chunks, packed):
+        edges = _unpack(bits, (hi - lo, q, d))
+        a = net.weights.draw_on(g, edges)
+        rows = a.reshape(-1, d)
+        dead = np.flatnonzero(~_fold_columns(edges))
+        rows[dead] = net.weights.draw_on(g1, _unpack(bits1, (len(dead), d)))
+        stop = done + int(np.searchsorted(later[done:], hi * q))
+        rows[later[done:stop] - lo * q] = settled[done:stop]
+        done = stop
+        visit(lo, a)
+
+
+def _settle(net: BipartiteNetwork, g: np.random.Generator,
+            rows: np.ndarray) -> np.ndarray:
+    """The final ``(len(rows), d)`` values of the agent rows ``rows``
+    (ascending flat indices into the block's ``n q`` rows) that are still
+    all-zero after round 1, from ``g`` at round 2's start.  Each round draws
+    the edges of the rows still dead, then their weights, from ``g`` in
+    row chunks: the edges are kept packed until the weights follow."""
+    out = np.empty((len(rows), net.d))
+    left = np.arange(len(rows))
+    while len(left):
+        cuts = list(rng.row_chunks(len(left), net.d))
+        packed, dead = [], []
+        for lo, hi in cuts:
+            edges = g.random((hi - lo, net.d)) < \
+                net.edge_prob[rows[left[lo:hi]] % net.q]
+            packed.append(np.packbits(edges.ravel()))
+            dead.append(left[lo:hi][~_fold_columns(edges)])
+        for (lo, hi), bits in zip(cuts, packed):
+            out[left[lo:hi]] = net.weights.draw_on(
+                g, _unpack(bits, (hi - lo, net.d)))
+        left = np.concatenate(dead)
+    return out
+
+
+def _unpack(bits: np.ndarray, shape) -> np.ndarray:
+    """The bool array of ``shape`` that ``np.packbits`` packed to ``bits``."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool) \
+        .reshape(shape)
 
 
 def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndarray:
     """``n`` exposure matrices conditioned on no all-zero agent row: the
-    :func:`_draw_exposures` chunks with their kept matrices redrawn."""
+    :func:`_draw_exposures` chunks copied into one array."""
     out = np.empty((n, net.q, net.d))
-    parts = _draw_exposures(net, g, n, net.q * net.d,
-                            lambda lo, part, dead:
-                            np.copyto(out[lo:lo + len(part)], part))
-    for rows, a in parts:
-        out[rows] = a
+    _draw_exposures(net, g, n, net.q * net.d,
+                    lambda lo, a: np.copyto(out[lo:lo + len(a)], a))
     return out
 
 
@@ -290,11 +332,13 @@ def sample_adjacency_batch(law: ALaw, seed: int, n: int) -> np.ndarray:
 class LossWalk:
     """A loss block as a walk over its row chunks: ``visit(b, size, take)``
     hands ``take(rows, xs)`` the score rows ``xs`` of block b's rows
-    ``rows`` (a slice or an ascending index array into the block), piece
-    by piece, each row once, and ``finish`` maps score rows to losses
-    elementwise (a network's pieces are already its losses).  Every study
-    kernel is one.  Called as ``(b, size)``, it returns the ``(size, q)``
-    losses of the block, and :meth:`score` their scores."""
+    ``rows``, piece by piece in row order, each row once, and ``finish``
+    maps score rows to losses elementwise (a network's pieces are already
+    its losses).  Every study kernel is one, and its pieces are slices of
+    the block; ``take`` also accepts an ascending index array, which only
+    a test's stand-in walk hands it.  Called as ``(b, size)``, it returns
+    the ``(size, q)`` losses of the block, and :meth:`score` their
+    scores."""
 
     visit: Callable
     q: int
@@ -343,15 +387,15 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     over the whole sample.
 
     A fixed matrix's kernel is the model's :func:`row_walk` times it.  A
-    random law's kernel is a :class:`LossWalk` of one pass over the
+    random law's kernel is a :class:`LossWalk` over the
     :func:`_draw_exposures` row chunks of the network its reductions start
     from (they apply innermost first), each chunk's risk rows drawn by the
     model's kernel on that chunk (every kernel's score may be split into row
-    chunks).  Each chunk hands over the losses of its matrices with no
-    all-zero agent row; the others' losses follow part by part, from their
-    kept risk rows, once their dead rows are redrawn (in row chunks, the
-    block layout unchanged).  So a walk holds one row chunk and the kept
-    matrices, never a ``(size, q, d)`` or ``(size, q)`` array."""
+    chunks).  A chunk's matrices come final, their redraw rounds settled
+    first, so each chunk hands over its losses whole, as ``take(slice(lo,
+    hi), x)``.  So a walk holds one row chunk, the block's packed edges and
+    its rows settled after round 1 (:func:`_settle`), never a
+    ``(size, q, d)`` or ``(size, q)`` array."""
     q, d = law_shape(law)
     if d != model.d:
         raise ModelError("network object count must match model dimension")
@@ -371,21 +415,10 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
 
     def visit(b, size, take):
         gz = rng.philox_stream(seed, z_stream, block=b)
-        kept_z = []
-
-        def chunk(lo, a, dead):
-            z = kernel(gz, len(a))
-            live = ~dead
-            take(lo + np.flatnonzero(live),
-                 np.compress(live, losses(a, z), axis=0))
-            if dead.any():
-                kept_z.append(np.compress(dead, z, axis=0))
-
-        parts = _draw_exposures(
+        _draw_exposures(
             base, rng.philox_stream(seed, a_stream, block=b), size, width,
-            chunk)
-        for (rows, a), z in zip(parts, kept_z):
-            take(rows, losses(a, z))
+            lambda lo, a: take(slice(lo, lo + len(a)),
+                               losses(a, kernel(gz, len(a)))))
 
     return LossWalk(visit, q)
 

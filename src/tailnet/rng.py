@@ -31,11 +31,13 @@ matrices in row-major order at ``[0, nqd)``, their weights at
 ``[nqd, 2nqd)`` (an empty section for point weights), then the redraw
 rounds of the all-zero agent rows from the end of the weights on.  Each
 round draws the edge uniforms of the rows still all-zero, in row-major
-order, then their weights.  The edges and the weights are drawn from two
-generators, the second placed at ``nqd`` by :func:`positioned`, and each
-redraw round of R rows likewise from the round's start and from a generator
-placed ``R d`` past it, so a block and each of its redraw rounds may be
-drawn in row chunks without changing the layout or a byte.
+order, then their weights.  A round of R rows has its weights ``R d``
+draws past its start, so a reader in row chunks learns R before it reads
+a weight: ``network._draw_exposures`` draws the edges and round 1's edges
+first (from the block's generator and one placed at round 1's start by
+:func:`positioned`), keeps the edges packed, settles rounds 2, 3, ... from
+a third generator, and only then reads the weights.  So a block takes
+three generators whatever its rounds, and no byte depends on the chunking.
 """
 
 from __future__ import annotations
