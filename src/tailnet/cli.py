@@ -194,6 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         scenario = _override_seed(load_scenario(args.scenario), args.seed)
         _emit(args.run(scenario, args), args.out)
     except ReliabilityError as exc:

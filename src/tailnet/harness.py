@@ -247,10 +247,12 @@ def run_tail_study(scenario: Scenario, threads: int = 1) -> list:
 
 def _run_points(point_fn, scenario: Scenario, threads: int) -> list:
     """``point_fn`` at every grid point, with the agent pair resolved once.
-    Points run in parallel; the threads left over (a grid shorter than
+    Points run in parallel on at most ``threads`` threads, and no more than
+    the usable cores; the threads left over (a grid shorter than
     ``threads``) go to each point's block fold."""
     pair = study_pair(scenario)
     points = list(enumerate(scenario.study.grid))
+    threads = min(threads, rng._usable_cores())
     block_threads = max(1, threads // len(points))
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

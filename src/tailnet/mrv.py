@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .copula import (BernsteinMixture, CorrelationMatrix, Gaussian, Iid,
-                     MarshallOlkin, ParetoMargin, RiskModel, _mixture_block,
-                     block_sampler, survival_copula)
+from .copula import (BernsteinMixture, CorrelationMatrix, Iid, MarshallOlkin,
+                     ParetoMargin, RiskModel, _mixture_block, block_sampler,
+                     survival_copula)
 from .errors import CapacityError, DegenerateQpError, DomainError, ModelError
 from .orthant import normal_orthant_survival
 

@@ -38,7 +38,8 @@ from .mrv import PowerLog, mo_max_exponent as _mo_max_exponent
 
 ADJ_MC_DRAWS = 100_000
 # Least P(agent row != 0) a random law may have when it is drawn: the
-# no-trivial-row redraw loop takes about 1 / P rounds.
+# no-trivial-row redraw loop of n agent rows draws about n / P rows over
+# about ln(n) / P rounds.
 MIN_ROW_LIVE_PROB = 1e-6
 
 
@@ -64,13 +65,12 @@ class WeightSpec:
         return int(self.kind == "uniform" and self.lo != self.hi)
 
     def draw(self, g: np.random.Generator, shape):
-        if not self.draws:
-            return np.full(shape, self.lo)
-        return self.lo + (self.hi - self.lo) * g.random(shape)
+        """Weights of ``shape``: :meth:`draw_on` an edge at every entry."""
+        return self.draw_on(g, np.ones(shape, bool))
 
     def draw_on(self, g: np.random.Generator, edges: np.ndarray) -> np.ndarray:
-        """``draw(g, edges.shape) * edges``, zero off the edges, with the
-        uniforms scaled in place by the same IEEE operations."""
+        """Weights on the bool ``edges``, zero off them: uniforms scaled in
+        place, ``u (hi - lo) + lo``, then multiplied by ``edges``."""
         if not self.draws:
             return np.multiply(edges, self.lo)
         a = g.random(edges.shape)
@@ -90,6 +90,12 @@ class BipartiteNetwork:
     weights: WeightSpec
 
     def __post_init__(self):
+        for name in ("q", "d"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                    or n < 1:
+                raise ModelError(f"network {name} must be a positive "
+                                 f"integer, got {n!r}")
         p = np.broadcast_to(np.asarray(self.edge_prob, dtype=float),
                             (self.q, self.d)).copy()
         if not np.all((p >= 0) & (p <= 1)):
@@ -167,13 +173,9 @@ def law_matrix(law: ALaw) -> np.ndarray:
 
 def support(law: ALaw) -> np.ndarray:
     """Boolean q x d matrix: can entry (k, j) be positive?"""
-    if isinstance(law, BipartiteNetwork):
-        return law.edge_prob > 0
-    if isinstance(law, AggregatedNetwork):
-        base = support(law.base)
-        return np.vstack([base[list(law.rows_s)].any(axis=0),
-                          base[list(law.rows_t)].any(axis=0)])
-    return law_matrix(law) > 0
+    if is_deterministic(law):
+        return law_matrix(law) > 0
+    return _reduce(law, _network(law).edge_prob[None])[0] > 0
 
 
 def select_rows(law: ALaw, k: int, m: int) -> ALaw:
@@ -296,8 +298,20 @@ def _draw_base(net: BipartiteNetwork, g: np.random.Generator, n: int) -> np.ndar
     return out
 
 
-def _reduce(law: AggregatedNetwork, a: np.ndarray) -> np.ndarray:
-    """Draws of ``law`` from draws ``a`` of its base law."""
+def _network(law: ALaw) -> BipartiteNetwork:
+    """The network a random law's chain of row reductions starts from."""
+    while isinstance(law, AggregatedNetwork):
+        law = law.base
+    return law
+
+
+def _reduce(law: ALaw, a: np.ndarray) -> np.ndarray:
+    """Draws of the random law ``law`` from draws ``a`` (``(n, q, d)``) of
+    its :func:`_network`: the chain's row reductions applied innermost
+    first.  A network's draws come back as they are, not copied."""
+    if not isinstance(law, AggregatedNetwork):
+        return a
+    a = _reduce(law.base, a)
     return np.stack([getattr(a[:, list(rows), :], law.op)(axis=1)
                      for rows in (law.rows_s, law.rows_t)], axis=1)
 
@@ -314,9 +328,7 @@ def _row_reduction(law: ALaw, rows_s, rows_t, op: str) -> ALaw:
 def _draw_law(law: ALaw, g: np.random.Generator, n: int) -> np.ndarray:
     if is_deterministic(law):
         return np.broadcast_to(law_matrix(law), (n,) + law_matrix(law).shape)
-    if isinstance(law, AggregatedNetwork):
-        return _reduce(law, _draw_law(law.base, g, n))
-    return _draw_base(law, g, n)
+    return _reduce(law, _draw_base(_network(law), g, n))
 
 
 def sample_adjacency(net: BipartiteNetwork, seed: int) -> AdjacencyMatrix:
@@ -360,23 +372,18 @@ class LossWalk:
         return self._fill(b, size, self.finish)
 
 
-def row_walk(kernel, seed: int, z_stream: int, q: int,
-             m_t: Optional[np.ndarray] = None) -> LossWalk:
+def row_walk(kernel, seed: int, z_stream: int, q: int) -> LossWalk:
     """The :class:`LossWalk` of a block kernel's draws on the ``(seed,
     z_stream)`` stream: block b's score rows in ``rng.row_chunks(size,
-    kernel.row_width)`` (one whole-block piece for a kernel with no width)
-    and the kernel's finish, or, given a transposed matrix ``m_t``, each
-    piece's losses ``gemm_rows(finish(z), m_t)``."""
-    piece = identity if m_t is None else \
-        (lambda z: gemm_rows(kernel.finish(z), m_t))
-
+    kernel.row_width)``, or in one whole-block piece for a kernel with no
+    width, and the kernel's finish."""
     def visit(b, size, take):
         g = rng.philox_stream(seed, z_stream, block=b)
         for lo, hi in rng.row_chunks(size, kernel.row_width) \
                 if kernel.row_width else [(0, size)]:
-            take(slice(lo, hi), piece(kernel.score(g, hi - lo)))
+            take(slice(lo, hi), kernel.score(g, hi - lo))
 
-    return LossWalk(visit, q, kernel.finish if m_t is None else identity)
+    return LossWalk(visit, q, kernel.finish)
 
 
 def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
@@ -386,39 +393,35 @@ def loss_sampler(law: ALaw, model: RiskModel, seed: int, z_stream: int,
     (A, Z) per draw).  Per-block matmul and einsum return the same bytes as
     over the whole sample.
 
-    A fixed matrix's kernel is the model's :func:`row_walk` times it.  A
-    random law's kernel is a :class:`LossWalk` over the
-    :func:`_draw_exposures` row chunks of the network its reductions start
-    from (they apply innermost first), each chunk's risk rows drawn by the
-    model's kernel on that chunk (every kernel's score may be split into row
-    chunks).  A chunk's matrices come final, their redraw rounds settled
-    first, so each chunk hands over its losses whole, as ``take(slice(lo,
-    hi), x)``.  So a walk holds one row chunk, the block's packed edges and
-    its rows settled after round 1 (:func:`_settle`), never a
-    ``(size, q, d)`` or ``(size, q)`` array."""
+    A fixed matrix's walk is the model's :func:`row_walk` with each piece
+    of score rows ``z`` replaced by its losses ``gemm_rows(finish(z), m_t)``,
+    ``m_t`` the transposed matrix.  A random law's is a walk over the
+    :func:`_draw_exposures` row chunks of its :func:`_network`, each chunk's
+    risk rows drawn by the model's kernel on that chunk (every kernel's
+    score may be split into row chunks) and its matrices reduced by
+    :func:`_reduce`.  A chunk's matrices come final, their redraw rounds
+    settled first, so each chunk hands over its losses whole, as
+    ``take(slice(lo, hi), x)``.  So a walk holds one row chunk, the block's
+    packed edges and its rows settled after round 1 (:func:`_settle`),
+    never a ``(size, q, d)`` or ``(size, q)`` array."""
     q, d = law_shape(law)
     if d != model.d:
         raise ModelError("network object count must match model dimension")
     kernel = block_sampler(model)
     if is_deterministic(law):
-        return row_walk(kernel, seed, z_stream, q, law_matrix(law).T)
-    chain, base = [], law           # the reductions, outermost first
-    while isinstance(base, AggregatedNetwork):
-        chain.append(base)
-        base = base.base
-    width = max(base.q * d, kernel.row_width)
-
-    def losses(a, z):
-        for red in reversed(chain):
-            a = _reduce(red, a)
-        return np.einsum("nqd,nd->nq", a, z)
+        m_t, walk = law_matrix(law).T, row_walk(kernel, seed, z_stream, d)
+        return LossWalk(lambda b, size, take: walk.visit(
+            b, size, lambda rows, z: take(
+                rows, gemm_rows(kernel.finish(z), m_t))), q)
+    net = _network(law)
+    width = max(net.q * d, kernel.row_width)
 
     def visit(b, size, take):
         gz = rng.philox_stream(seed, z_stream, block=b)
         _draw_exposures(
-            base, rng.philox_stream(seed, a_stream, block=b), size, width,
-            lambda lo, a: take(slice(lo, lo + len(a)),
-                               losses(a, kernel(gz, len(a)))))
+            net, rng.philox_stream(seed, a_stream, block=b), size, width,
+            lambda lo, a: take(slice(lo, lo + len(a)), np.einsum(
+                "nqd,nd->nq", _reduce(law, a), kernel(gz, len(a)))))
 
     return LossWalk(visit, q)
 
@@ -514,12 +517,13 @@ _MOMENT_LOCK = threading.Lock()
 @lru_cache(maxsize=4)
 def _moment_draws(law: ALaw, seed: int, n_a: int) -> np.ndarray:
     """The ``n_a`` draws of a random law behind its moments at ``seed``,
-    shared read-only: a base network is drawn once, and a row reduction
-    reduces its base's draws."""
-    if isinstance(law, AggregatedNetwork):
-        a = _reduce(law, _moment_draws(law.base, seed, n_a))
+    shared read-only: a network is drawn once, and a row reduction
+    reduces its network's draws."""
+    net = _network(law)
+    if law is net:
+        a = _draw_base(net, rng.philox_stream(seed, rng.STREAM_A_MOMENTS), n_a)
     else:
-        a = _draw_base(law, rng.philox_stream(seed, rng.STREAM_A_MOMENTS), n_a)
+        a = _reduce(law, _moment_draws(net, seed, n_a))
     a.flags.writeable = False
     return a
 

@@ -189,18 +189,12 @@ def _tilt(off, bound, means):
 
 
 def _lattice_batch(dim: int, n: int, shift: np.ndarray) -> np.ndarray:
-    """The points a doubling to ``n`` points per shift adds to the lattice
-    rule: points 1..n at the first size, FIRST_POINTS, and n/2+1..n after."""
-    return _lattice_points(dim, n // 2 if n > FIRST_POINTS else 0, n, shift)
-
-
-def _lattice_points(dim: int, start: int, stop: int,
-                    shift: np.ndarray) -> np.ndarray:
-    """Points start+1..stop of the shifted Kronecker lattice; each point
-    depends only on its own index."""
-    alpha = np.sqrt(_PRIMES[:dim])
-    k = np.arange(start + 1, stop + 1, dtype=float)[:, None]
-    pts = k * alpha[None, :] + shift[None, :]
+    """The points a doubling to ``n`` points per shift adds to the shifted
+    Kronecker lattice: points 1..n at the first size, FIRST_POINTS, and
+    n/2+1..n after.  Each point depends only on its own index."""
+    start = n // 2 if n > FIRST_POINTS else 0
+    k = np.arange(start + 1, n + 1, dtype=float)[:, None]
+    pts = k * np.sqrt(_PRIMES[:dim])[None, :] + shift[None, :]
     pts -= np.floor(pts)
     return pts
 

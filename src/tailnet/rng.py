@@ -133,13 +133,15 @@ def fold_blocks(n, work, combine, init, threads=DEFAULT_THREADS,
     """Fold ``acc = combine(acc, work(b, size))`` over the blocks of ``n``
     draws in block-index order.
 
-    The one block-execution primitive.  At most ``threads`` blocks are in
-    flight (submitted and not yet folded), so memory stays O(threads
-    blocks) for any ``n``, and the fold order does not depend on
-    ``threads``.  A sample size below 1 is refused (by :func:`blocks`).
+    The one block-execution primitive.  At most ``threads`` blocks, and
+    no more than the usable cores, are in flight (submitted and not yet
+    folded), so memory stays O(threads blocks) for any ``n``, and the fold
+    order does not depend on ``threads``.  A sample size below 1 is refused
+    (by :func:`blocks`).
     """
     plan = blocks(n, block_size)
     acc = init
+    threads = min(threads, _usable_cores())
     # in this thread: blocks drawn on pool threads raised peak RSS by 30%
     if threads <= 1 or n <= block_size:
         for b, size in plan:

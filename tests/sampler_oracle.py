@@ -9,9 +9,13 @@ round.  The cache-blocked kernels must return the same bytes from the same
 Generator.  Test helpers only.
 """
 
+import functools
+
 import numpy as np
 
+from tailnet import rng
 from tailnet.copula import _mo_shock_layout
+from tailnet.copula import block_sampler
 from tailnet.network import AggregatedNetwork
 
 
@@ -64,3 +68,51 @@ def mixture_block(g: np.random.Generator, size: int) -> np.ndarray:
         out[mask, cols[1]] = v[mask]
         out[mask, 3 - cols[0] - cols[1]] = m[mask]
     return out
+
+
+def draw_weights(spec, g: np.random.Generator, shape) -> np.ndarray:
+    """The weight draw written on its own: a constant array for fixed
+    weights, ``lo + (hi - lo) u`` for uniform ones."""
+    if not spec.draws:
+        return np.full(shape, spec.lo)
+    return spec.lo + (spec.hi - spec.lo) * g.random(shape)
+
+
+def support(law) -> np.ndarray:
+    """Which entries of a random law can be positive: a network's positive
+    edge probabilities, and for a reduction the ``any`` over each row set
+    of its base's support."""
+    if not isinstance(law, AggregatedNetwork):
+        return law.edge_prob > 0
+    base = support(law.base)
+    return np.vstack([base[list(law.rows_s)].any(axis=0),
+                      base[list(law.rows_t)].any(axis=0)])
+
+
+def reduce_rows(law, a: np.ndarray) -> np.ndarray:
+    """Draws of ``law`` from draws ``a`` of the network under it: the base
+    reduced first, then each row set folded row by row with ``np.add`` or
+    ``np.maximum``."""
+    if not isinstance(law, AggregatedNetwork):
+        return a
+    a = reduce_rows(law.base, a)
+    op = np.add if law.op == "sum" else np.maximum
+    return np.stack([functools.reduce(op, [a[:, i] for i in rows])
+                     for rows in (law.rows_s, law.rows_t)], axis=1)
+
+
+def losses(law, model, n: int, seed: int, z_stream: int, a_stream: int,
+           block_size: int) -> np.ndarray:
+    """(n, q) draws of X = A Z block by block: each block's matrices drawn
+    whole by :func:`draw_base` on the network under ``law`` and reduced by
+    :func:`reduce_rows`, times the block's risk rows drawn whole."""
+    net = law
+    while isinstance(net, AggregatedNetwork):
+        net = net.base
+    out = []
+    for b, size in rng.blocks(n, block_size):
+        a = draw_base(net, rng.philox_stream(seed, a_stream, block=b), size)
+        z = block_sampler(model)(rng.philox_stream(seed, z_stream, block=b),
+                                 size)
+        out.append(np.einsum("nqd,nd->nq", reduce_rows(law, a), z))
+    return np.concatenate(out)
